@@ -8,6 +8,7 @@ attention; widths double stage to stage while resolution halves.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -331,36 +332,36 @@ def forward(model: MaxVitModel, images: Tensor, training: bool = False) -> Tenso
     return linear(pooled, model.head)
 
 
-# -- parameter traversal --------------------------------------------------------------
+# -- state traversal -------------------------------------------------------------------
+
+def _walk(obj, prefix: str = ""):
+    """Yield (dotted_name, holder, key, kind) for every state leaf, in build order.
+
+    `holder` is the owning dataclass and `key` the field name, so callers can
+    write new values back without re-walking. `kind` is "param" for a Tensor
+    and "buffer" for a float ndarray (batch-norm running statistics); int
+    index tables, scalars and the VariantSpec are not state and are skipped.
+    """
+    if isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            yield from _walk(item, f"{prefix}.{i}")
+        return
+    if not is_dataclass(obj) or isinstance(obj, VariantSpec):
+        return
+    for f in fields(obj):
+        val = getattr(obj, f.name)
+        name = f"{prefix}.{f.name}" if prefix else f.name
+        if isinstance(val, Tensor):
+            yield name, obj, f.name, "param"
+        elif isinstance(val, np.ndarray) and val.dtype.kind == "f":
+            yield name, obj, f.name, "buffer"
+        else:
+            yield from _walk(val, name)
+
 
 def parameter_slots(model) -> list[tuple[str, object, object]]:
-    """(dotted_name, holder, key) for every learnable tensor, in build order.
-
-    `holder` is the owning dataclass or list and `key` the attribute name or
-    index, so optimizers can write updated tensors back without re-walking.
-    """
-    slots: list[tuple[str, object, object]] = []
-
-    def visit(obj, prefix):
-        if isinstance(obj, Tensor):
-            raise AssertionError("tensors are collected at their holder, not standalone")
-        if isinstance(obj, (list, tuple)):
-            for i, item in enumerate(obj):
-                if isinstance(item, (list, tuple)) or is_dataclass(item):
-                    visit(item, f"{prefix}.{i}")
-            return
-        if not is_dataclass(obj) or isinstance(obj, VariantSpec):
-            return
-        for f in fields(obj):
-            val = getattr(obj, f.name)
-            name = f"{prefix}.{f.name}" if prefix else f.name
-            if isinstance(val, Tensor):
-                slots.append((name, obj, f.name))
-            elif isinstance(val, (list, tuple)) or is_dataclass(val):
-                visit(val, name)
-
-    visit(model, "")
-    return slots
+    """(dotted_name, holder, key) for every learnable tensor, in build order."""
+    return [(name, holder, key) for name, holder, key, kind in _walk(model) if kind == "param"]
 
 
 def named_parameters(model) -> list[tuple[str, Tensor]]:
@@ -369,76 +370,35 @@ def named_parameters(model) -> list[tuple[str, Tensor]]:
 
 def named_buffers(model: MaxVitModel) -> list[tuple[str, np.ndarray]]:
     """Non-learnable state: batch-norm running statistics, in build order."""
-    out: list[tuple[str, np.ndarray]] = []
-
-    def visit(obj, prefix):
-        if isinstance(obj, (list, tuple)):
-            for i, item in enumerate(obj):
-                visit(item, f"{prefix}.{i}")
-            return
-        if not is_dataclass(obj) or isinstance(obj, VariantSpec):
-            return
-        for f in fields(obj):
-            val = getattr(obj, f.name)
-            name = f"{prefix}.{f.name}" if prefix else f.name
-            if isinstance(val, np.ndarray) and not isinstance(val, Tensor) and val.dtype.kind == "f":
-                out.append((name, val))
-            elif isinstance(val, (list, tuple)) or is_dataclass(val):
-                visit(val, name)
-
-    visit(model, "")
-    return out
-
-
-def _find_holder(model, name: str):
-    parts = name.split(".")
-    obj = model
-    for part in parts[:-1]:
-        obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
-    return obj, parts[-1]
+    return [(name, getattr(holder, key)) for name, holder, key, kind in _walk(model) if kind == "buffer"]
 
 
 # -- window transfer --------------------------------------------------------------------
 
 def with_window(model: MaxVitModel, window: int, grid_size: Optional[int] = None) -> MaxVitModel:
-    """Model for a new window/grid size; bias tables resampled, all else shared.
+    """Model for a new window/grid size; bias tables resampled.
 
-    Used to run a trained model at a different input resolution: parameter
-    counts change only by the bias-table extents.
+    Parameter tensors shared; holders and running stats copied, so training
+    the result leaves the source model untouched. Used to run a trained model
+    at a different input resolution: parameter counts change only by the
+    bias-table extents.
     """
     grid_size = grid_size if grid_size is not None else window
     spec = replace(model.variant, window=window, grid_size=grid_size)
     spec.validate()
-
-    def convert(layer: AttentionLayerParams) -> AttentionLayerParams:
-        old = model.variant.window if layer.kind == "block" else model.variant.grid_size
-        new = window if layer.kind == "block" else grid_size
-        return AttentionLayerParams(
-            kind=layer.kind,
-            norm1=layer.norm1,
-            attn=replace(
-                layer.attn,
-                bias_table=interpolate_bias(layer.attn.bias_table, old, new),
-                window=new,
-            ),
-            norm2=layer.norm2,
-            mlp=layer.mlp,
-            index=build_bias_index(new),
-        )
-
-    stages = [
-        [
-            MaxVitBlockParams(
-                order=blk.order,
-                conv=blk.conv,
-                block_attn=convert(blk.block_attn),
-                grid_attn=convert(blk.grid_attn),
-            )
-            for blk in blocks
-        ]
-        for blocks in model.stages
-    ]
-    return MaxVitModel(spec, model.num_classes, model.seed, model.stem, stages, model.head)
+    # Tensors are immutable, so seeding the memo with them shares every one.
+    memo = {id(t): t for _, t in named_parameters(model)}
+    moved = copy.deepcopy(model, memo)
+    moved.variant = spec
+    sizes = {"block": (model.variant.window, window), "grid": (model.variant.grid_size, grid_size)}
+    for blocks in moved.stages:
+        for blk in blocks:
+            for layer in (blk.block_attn, blk.grid_attn):
+                old, new = sizes[layer.kind]
+                layer.attn.bias_table = interpolate_bias(layer.attn.bias_table, old, new)
+                layer.attn.window = new
+                layer.index = build_bias_index(new)
+    return moved
 
 
 # -- checkpoints --------------------------------------------------------------------------
@@ -479,23 +439,22 @@ def _spec_from_dict(d: dict) -> VariantSpec:
 def save_model(model: MaxVitModel, directory) -> None:
     """Write manifest.json plus one tensor file per parameter and buffer."""
     os.makedirs(directory, exist_ok=True)
-    params = named_parameters(model)
-    buffers = named_buffers(model)
+    slots = list(_walk(model))
+    first_param = next(getattr(h, k) for _, h, k, kind in slots if kind == "param")
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "variant": _spec_to_dict(model.variant),
         "num_classes": model.num_classes,
         "seed": model.seed,
-        "dtype": "f64" if params[0][1].dtype == np.float64 else "f32",
-        "parameters": [name for name, _ in params],
-        "buffers": [name for name, _ in buffers],
+        "dtype": "f64" if first_param.dtype == np.float64 else "f32",
+        "parameters": [name for name, _, _, kind in slots if kind == "param"],
+        "buffers": [name for name, _, _, kind in slots if kind == "buffer"],
     }
     with open(os.path.join(directory, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2)
-    for name, t in params:
-        save_tensor(t, os.path.join(directory, name + ".tensor"))
-    for name, arr in buffers:
-        save_tensor(Tensor(arr.copy()), os.path.join(directory, name + ".tensor"))
+    for name, holder, key, kind in slots:
+        val = getattr(holder, key)
+        save_tensor(val if kind == "param" else Tensor(val.copy()), os.path.join(directory, name + ".tensor"))
 
 
 def load_model(directory) -> MaxVitModel:
@@ -513,18 +472,17 @@ def load_model(directory) -> MaxVitModel:
     dt = np.float64 if manifest.get("dtype") == "f64" else np.float32
     model = build_model(spec, num_classes=manifest["num_classes"], seed=manifest["seed"], dtype=dt)
 
-    expected = [name for name, _ in named_parameters(model)]
-    if manifest["parameters"] != expected:
-        raise DataError("checkpoint parameter order does not match the rebuilt architecture")
-    for name in manifest["parameters"]:
-        t = load_tensor(os.path.join(directory, name + ".tensor"))
-        holder, key = _find_holder(model, name)
+    slots = list(_walk(model))
+    for field, kind in (("parameters", "param"), ("buffers", "buffer")):
+        if manifest.get(field) != [name for name, _, _, k in slots if k == kind]:
+            raise DataError(f"checkpoint {field} list does not match the rebuilt architecture")
+    for name, holder, key, kind in slots:
+        try:
+            t = load_tensor(os.path.join(directory, name + ".tensor"))
+        except FileNotFoundError as e:
+            raise DataError(f"checkpoint has no tensor file for {name}") from e
         current = getattr(holder, key)
         if t.shape != current.shape:
             raise DataError(f"checkpoint tensor {name} has shape {t.shape}, expected {current.shape}")
-        setattr(holder, key, t.astype(dt))
-    for name in manifest.get("buffers", []):
-        t = load_tensor(os.path.join(directory, name + ".tensor"))
-        holder, key = _find_holder(model, name)
-        setattr(holder, key, t.data.astype(dt).copy())
+        setattr(holder, key, t.astype(dt) if kind == "param" else t.data.astype(dt))
     return model

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, DimensionError
-from .tensor import Tensor, default_dtype
+from .tensor import Tensor, default_dtype, ones, zeros
 
 __all__ = [
     "LayerNormParams", "BatchNormParams", "ConvParams", "DepthwiseParams",
@@ -52,14 +52,6 @@ def conv_fan_out_normal(rng: np.random.Generator, shape, dtype=None) -> Tensor:
     return Tensor((rng.standard_normal(shape) * std).astype(dtype or default_dtype()))
 
 
-def _zeros(shape, dtype=None) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype or default_dtype()))
-
-
-def _ones(shape, dtype=None) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype or default_dtype()))
-
-
 # -- normalization --------------------------------------------------------------
 
 @dataclass
@@ -70,7 +62,7 @@ class LayerNormParams:
 
 
 def init_layer_norm(channels: int, dtype=None) -> LayerNormParams:
-    return LayerNormParams(_ones(channels, dtype), _zeros(channels, dtype))
+    return LayerNormParams(ones(channels, dtype), zeros(channels, dtype))
 
 
 def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
@@ -90,7 +82,7 @@ class BatchNormParams:
 def init_batch_norm(channels: int, dtype=None) -> BatchNormParams:
     dt = dtype or default_dtype()
     return BatchNormParams(
-        _ones(channels, dt), _zeros(channels, dt),
+        ones(channels, dt), zeros(channels, dt),
         np.zeros(channels, dtype=dt), np.ones(channels, dtype=dt),
     )
 
@@ -116,7 +108,7 @@ class ConvParams:
 
 def init_conv(rng, kernel: int, cin: int, cout: int, stride: int = 1, bias: bool = True, dtype=None) -> ConvParams:
     w = conv_fan_out_normal(rng, (kernel, kernel, cin, cout), dtype)
-    return ConvParams(w, _zeros(cout, dtype) if bias else None, stride)
+    return ConvParams(w, zeros(cout, dtype) if bias else None, stride)
 
 
 def conv(x: Tensor, p: ConvParams) -> Tensor:
@@ -146,7 +138,7 @@ class LinearParams:
 
 
 def init_linear(rng, cin: int, cout: int, bias: bool = True, dtype=None) -> LinearParams:
-    return LinearParams(trunc_normal(rng, (cin, cout), dtype=dtype), _zeros(cout, dtype) if bias else None)
+    return LinearParams(trunc_normal(rng, (cin, cout), dtype=dtype), zeros(cout, dtype) if bias else None)
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:

@@ -217,12 +217,7 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # Split by sign to avoid overflow in exp for large |x|.
-    y = np.empty_like(x.data)
-    pos = x.data >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    e = np.exp(x.data[~pos])
-    y[~pos] = e / (1.0 + e)
+    y = sigmoid_raw(x.data)
     out = _out(y, "sigmoid")
     record(out, (x,), lambda g: (g * y * (1.0 - y),))
     return out
@@ -236,6 +231,7 @@ def silu(x: Tensor) -> Tensor:
 
 
 def sigmoid_raw(a: np.ndarray) -> np.ndarray:
+    # Split by sign to avoid overflow in exp for large |x|.
     y = np.empty_like(a)
     pos = a >= 0
     y[pos] = 1.0 / (1.0 + np.exp(-a[pos]))

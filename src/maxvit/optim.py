@@ -66,9 +66,16 @@ class AdamW:
         return [getattr(holder, key) for _, holder, key in self._slots]
 
     def step(self, grads: Sequence[Tensor]) -> float:
-        """Apply one update; returns the pre-clip global gradient norm."""
+        """Apply one update; returns the pre-clip global gradient norm.
+
+        Misshaped gradients raise before any parameter, moment or step count
+        changes.
+        """
         if len(grads) != len(self._slots):
             raise DimensionError(f"expected {len(self._slots)} gradients, got {len(grads)}")
+        for i, (p, g) in enumerate(zip(self.parameters(), grads)):
+            if g.shape != p.shape:
+                raise DimensionError(f"gradient {i} has shape {g.shape}, parameter {self._slots[i][0]} has {p.shape}")
         cfg = self.config
         norm = global_grad_norm(grads)
         scale = 1.0
@@ -80,8 +87,6 @@ class AdamW:
         for i, (name, holder, key) in enumerate(self._slots):
             p: Tensor = getattr(holder, key)
             g = grads[i].data.astype(np.float64) * scale
-            if g.shape != p.shape:
-                raise DimensionError(f"gradient {i} has shape {g.shape}, parameter {name} has {p.shape}")
             self._m[i] = cfg.beta1 * self._m[i] + (1.0 - cfg.beta1) * g
             self._v[i] = cfg.beta2 * self._v[i] + (1.0 - cfg.beta2) * np.square(g)
             update = (self._m[i] / bc1) / (np.sqrt(self._v[i] / bc2) + cfg.eps)

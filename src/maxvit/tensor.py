@@ -12,7 +12,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import DataError, DimensionError, NumericError
+from .errors import DataError, DimensionError
 
 __all__ = [
     "Tensor",
@@ -169,11 +169,6 @@ def full(shape, value: float, dtype=None) -> Tensor:
 
 def arange(n: int, dtype=None) -> Tensor:
     return Tensor(np.arange(n, dtype=dtype or default_dtype()))
-
-
-def check_finite(arr: np.ndarray, context: str) -> None:
-    if not np.isfinite(arr).all():
-        raise NumericError(f"non-finite values in {context}")
 
 
 # -- serialization ----------------------------------------------------------

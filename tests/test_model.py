@@ -1,5 +1,7 @@
 """Backbone construction, forward geometry, determinism, checkpoints, variants."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,8 @@ from maxvit.model import (
     validate_geometry,
     with_window,
 )
-from maxvit.tensor import Tensor
+from maxvit.optim import AdamW
+from maxvit.tensor import Tensor, save_tensor
 
 MINI = VariantSpec(
     name="mini",
@@ -94,6 +97,12 @@ def test_parameter_names_and_order_are_stable():
     assert "stages.0.0.conv.expand.weight" in names
     assert "stages.1.0.block_attn.attn.bias_table" in names
     assert len(names) == len(set(names))
+    buffers = [n for n, _ in named_buffers(model)]
+    assert "stem.norm.running_mean" in buffers
+    assert not set(names) & set(buffers)
+    assert not [n for n in names + buffers if n.endswith("index")]
+    full = build_model("T", seed=0)
+    assert (len(named_parameters(full)), len(named_buffers(full))) == (477, 68)
 
 
 def test_head_dim_divisibility_enforced():
@@ -200,15 +209,38 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_allclose(forward(back, _images(1, 16, seed=8)).data, logits_before, atol=0)
 
 
-def test_checkpoint_rejects_corruption(tmp_path):
+def _edit_manifest(ckpt, edit):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    edit(manifest)
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _truncate_payload(ckpt):
+    victim = ckpt / "head.bias.tensor"
+    victim.write_bytes(victim.read_bytes()[:-2])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _truncate_payload,
+        lambda ckpt: (ckpt / "manifest.json").unlink(),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m["buffers"].pop()),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m["buffers"].append("stem.conv1.weight")),
+        lambda ckpt: save_tensor(Tensor(np.zeros(5, np.float32)), ckpt / "stem.norm.running_mean.tensor"),
+        lambda ckpt: (ckpt / "stem.norm.running_var.tensor").unlink(),
+    ],
+    ids=[
+        "truncated-payload", "no-manifest", "truncated-buffer-list", "parameter-listed-as-buffer",
+        "buffer-wrong-shape", "missing-tensor-file",
+    ],
+)
+def test_checkpoint_rejects_corruption(tmp_path, corrupt):
     model = build_model(MINI, num_classes=2, seed=0)
     save_model(model, tmp_path / "ckpt")
-    victim = tmp_path / "ckpt" / "head.bias.tensor"
-    victim.write_bytes(victim.read_bytes()[:-2])
+    corrupt(tmp_path / "ckpt")
     with pytest.raises(DataError):
         load_model(tmp_path / "ckpt")
-    with pytest.raises(DataError):
-        load_model(tmp_path)  # no manifest
 
 
 def test_with_window_resamples_bias_tables_only():
@@ -224,6 +256,25 @@ def test_with_window_resamples_bias_tables_only():
             assert t.data is base[name].data, name  # shared, not copied
     # runs at the resolution the new window tiles
     assert forward(moved, _images(1, 32)).shape == (1, 2)
+
+
+def test_with_window_copy_owns_its_parameters():
+    model = build_model(MINI, num_classes=2, seed=1)
+    before = named_parameters(model)
+    opt = AdamW(with_window(model, 4))
+    opt.step([Tensor(np.ones(p.shape, p.dtype)) for p in opt.parameters()])
+    for (name, old), (_, now) in zip(before, named_parameters(model)):
+        assert now is old, name
+
+
+def test_with_window_copy_owns_its_running_stats():
+    model = build_model(MINI, num_classes=2, seed=1)
+    before = [(name, arr.copy()) for name, arr in named_buffers(model)]
+    moved = with_window(model, 4)
+    forward(moved, _images(2, 32), training=True)
+    assert any(not np.array_equal(old, now) for (_, old), (_, now) in zip(before, named_buffers(moved)))
+    for (name, old), (_, now) in zip(before, named_buffers(model)):
+        assert np.array_equal(old, now), name
 
 
 def test_toy_variant_geometry():

@@ -140,6 +140,7 @@ def test_gradient_misalignment_raises():
     bad[0] = Tensor(np.zeros((1, 1)))
     with pytest.raises(DimensionError):
         opt.step(bad)
+    assert opt._t == 0
 
 
 def test_config_validation():
