@@ -10,6 +10,7 @@ checks rather than bypassed through stale local bindings.
 from __future__ import annotations
 
 import tempfile
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -48,6 +49,7 @@ class PropertyResult:
     name: str
     status: str  # pass | fail | error
     detail: str = ""
+    duration_ms: float = 0.0
 
 
 @dataclass
@@ -89,7 +91,7 @@ class CheckReport:
                     "name": s.name,
                     "ok": s.ok,
                     "properties": [
-                        {"name": p.name, "status": p.status, "detail": p.detail}
+                        {"name": p.name, "status": p.status, "detail": p.detail, "duration_ms": p.duration_ms}
                         for p in s.properties
                     ],
                 }
@@ -357,6 +359,26 @@ def _check_checkpoint_roundtrip():
     assert np.array_equal(before, after), "reloaded model computes different logits"
 
 
+# -- numerics suite ------------------------------------------------------------------
+
+GELU_F32_BOUND = 5e-7  # |f32 gelu - exact gelu| <= bound * max(1, |x|)
+
+
+def _check_gelu_f32_matches_exact():
+    x = np.linspace(-12.0, 12.0, 4_000_001).astype(np.float32)
+    got = ops.gelu(Tensor(x)).data
+    assert got.dtype == np.float32, f"f32 gelu returned {got.dtype}"
+    x64 = x.astype(np.float64)
+    err = np.abs(got - ops.gelu(Tensor(x64)).data) / np.maximum(1.0, np.abs(x64))
+    worst = int(err.argmax())
+    assert err[worst] <= GELU_F32_BOUND, f"f32 gelu error {err[worst]:.3e} * max(1, |x|) at x={x[worst]}"
+    # the f32 helper directly: ops.gelu rejects non-finite outputs under MAXVIT_DEBUG=1
+    special = np.array([np.inf, -np.inf, np.nan], np.float32)
+    with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0, as in the exact form
+        got = ops._gelu_f32(special)[0]
+    assert np.array_equal(got, [np.inf, np.nan, np.nan], equal_nan=True), f"gelu(inf, -inf, nan) = {got}"
+
+
 # -- training suite --------------------------------------------------------------------
 
 def _check_train_smoke():
@@ -397,6 +419,9 @@ def _static_suites() -> dict[str, list[tuple[str, Callable[[], None]]]]:
         "serialization": [
             ("checkpoint_roundtrip", _check_checkpoint_roundtrip),
         ],
+        "numerics": [
+            ("gelu_f32_matches_exact", _check_gelu_f32_matches_exact),
+        ],
         "train": [
             ("toy_smoke_descends", _check_train_smoke),
         ],
@@ -415,15 +440,17 @@ def run_checks(filter: Optional[str] = None) -> CheckReport:
             continue
         suite = SuiteResult(name=suite_name)
         for prop_name, fn in props:
+            status, detail = "pass", ""
+            t0 = time.perf_counter()
             try:
                 fn()
             except AssertionError as exc:
-                suite.properties.append(PropertyResult(prop_name, "fail", str(exc)))
+                status, detail = "fail", str(exc)
             except MaxVitError as exc:
-                suite.properties.append(PropertyResult(prop_name, "fail", f"{type(exc).__name__}: {exc}"))
+                status, detail = "fail", f"{type(exc).__name__}: {exc}"
             except Exception as exc:  # noqa: BLE001 - a crash is a failing property, not a crash of check
-                suite.properties.append(PropertyResult(prop_name, "error", f"{type(exc).__name__}: {exc}"))
-            else:
-                suite.properties.append(PropertyResult(prop_name, "pass"))
+                status, detail = "error", f"{type(exc).__name__}: {exc}"
+            ms = 1000.0 * (time.perf_counter() - t0)
+            suite.properties.append(PropertyResult(prop_name, status, detail, ms))
         report.suites.append(suite)
     return report

@@ -466,11 +466,17 @@ def load_model(directory) -> MaxVitModel:
         raise DataError(f"no manifest.json in {directory}") from e
     except json.JSONDecodeError as e:
         raise DataError(f"corrupt manifest.json in {directory}: {e}") from e
+    if not isinstance(manifest, dict):
+        raise DataError(f"manifest.json in {directory} is not a JSON object")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {manifest.get('format_version')}")
-    spec = _spec_from_dict(manifest["variant"])
+    try:
+        spec = _spec_from_dict(manifest["variant"])
+        num_classes, seed = manifest["num_classes"], manifest["seed"]
+    except KeyError as e:
+        raise DataError(f"manifest.json in {directory} has no {e} entry") from e
     dt = np.float64 if manifest.get("dtype") == "f64" else np.float32
-    model = build_model(spec, num_classes=manifest["num_classes"], seed=manifest["seed"], dtype=dt)
+    model = build_model(spec, num_classes=num_classes, seed=seed, dtype=dt)
 
     slots = list(_walk(model))
     for field, kind in (("parameters", "param"), ("buffers", "buffer")):

@@ -203,10 +203,69 @@ def reduce_mean(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 
 # -- activations ----------------------------------------------------------------
 
+_GELU_BLOCK = 1 << 15  # elements per block: a block's six f32 arrays fit in L2
+
+# erf(z) ~ z * P(z^2) / Q(z^2) on [-4, 4]: the f32 minimax rational of Eigen's
+# generic_fast_erf_float (also used by XLA). Outside [-4, 4] erf is +-1 in f32.
+_ERF_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02,
+))
+_ERF_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+    -7.37332916720468e-03, -1.42647390514189e-02,
+))
+
+
+def _horner(coeffs, t: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """acc = polynomial in t with `coeffs` from the highest degree down, in place."""
+    np.multiply(t, coeffs[0], out=acc)
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= t
+    acc += coeffs[-1]
+    return acc
+
+
+def _gelu_f32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x * Phi(x), Phi(x)) for f32 `x`, with the rational erf, one block at a time.
+
+    Each block's intermediates stay in cache; |error| <= 5e-7 * max(1, |x|)
+    against the exact-erf GELU (checked by `checks.gelu_f32_matches_exact`).
+    """
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    cdf = np.empty_like(flat)
+    z, t, q = (np.empty(min(flat.size, _GELU_BLOCK), np.float32) for _ in range(3))
+    for lo in range(0, flat.size, _GELU_BLOCK):
+        xb = flat[lo:lo + _GELU_BLOCK]
+        n = xb.size
+        zb, tb, qb, cb = z[:n], t[:n], q[:n], cdf[lo:lo + n]
+        np.multiply(xb, np.float32(_INV_SQRT2), out=zb)
+        np.clip(zb, np.float32(-4.0), np.float32(4.0), out=zb)
+        np.square(zb, out=tb)
+        _horner(_ERF_P, tb, cb)
+        cb *= zb
+        cb /= _horner(_ERF_Q, tb, qb)  # erf(z)
+        cb *= np.float32(0.5)
+        cb += np.float32(0.5)
+        np.multiply(xb, cb, out=out[lo:lo + n])
+    return out.reshape(x.shape), cdf.reshape(x.shape)
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact-erf form: x * Phi(x), with Phi the standard normal CDF."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out = _out(x.data * cdf, "gelu")
+    """Exact-erf form: x * Phi(x), with Phi the standard normal CDF.
+
+    f32 evaluates erf with a rational approximation (`_gelu_f32`); f64 uses
+    scipy's exact erf.
+    """
+    if x.dtype == np.float32:
+        y, cdf = _gelu_f32(x.data)
+    else:
+        cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+        y = x.data * cdf
+    out = _out(y, "gelu")
 
     def backward(g):
         pdf = np.exp(-0.5 * np.square(x.data)) * _INV_SQRT_2PI

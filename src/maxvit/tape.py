@@ -77,7 +77,7 @@ class GradTape:
         out: list[Tensor] = []
         for p in params:
             g = grads.get(id(p))
-            out.append(Tensor(g.copy()) if g is not None else Tensor(np.zeros_like(p.data)))
+            out.append(Tensor(np.asarray(g).copy()) if g is not None else Tensor(np.zeros_like(p.data)))
         return out
 
 

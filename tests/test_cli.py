@@ -100,6 +100,10 @@ def test_check_golden_suite_passes(capsys):
     assert code == 0
     assert report["ok"] is True
     assert report["counts"]["fail"] == 0 and report["counts"]["error"] == 0
+    item = schema("check")["properties"]["suites"]["items"]["properties"]["properties"]["items"]
+    assert "duration_ms" in item["required"]
+    durations = [p["duration_ms"] for s in report["suites"] for p in s["properties"]]
+    assert all(d >= 0 for d in durations) and sum(durations) > 0
 
 
 def test_check_unknown_filter_is_usage_error(capsys):

@@ -50,6 +50,14 @@ def test_unused_parameter_gets_exact_zero_gradient():
     assert np.all(g_unused.data == 0.0)
 
 
+def test_zero_dim_parameter_gets_zero_dim_gradient():
+    w = Tensor(np.array(3.0))
+    with GradTape() as tape:
+        y = ops.reduce_sum(ops.mul(w, w))
+    (g,) = tape.gradient(y, [w])
+    assert g.shape == () and g.item() == 6.0
+
+
 def test_parameter_reuse_accumulates():
     w = Tensor(np.array([3.0]))
     with GradTape() as tape:

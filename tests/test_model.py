@@ -229,10 +229,12 @@ def _truncate_payload(ckpt):
         lambda ckpt: _edit_manifest(ckpt, lambda m: m["buffers"].append("stem.conv1.weight")),
         lambda ckpt: save_tensor(Tensor(np.zeros(5, np.float32)), ckpt / "stem.norm.running_mean.tensor"),
         lambda ckpt: (ckpt / "stem.norm.running_var.tensor").unlink(),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m.pop("seed")),
+        lambda ckpt: (ckpt / "manifest.json").write_text("[]"),
     ],
     ids=[
         "truncated-payload", "no-manifest", "truncated-buffer-list", "parameter-listed-as-buffer",
-        "buffer-wrong-shape", "missing-tensor-file",
+        "buffer-wrong-shape", "missing-tensor-file", "manifest-missing-seed", "manifest-not-object",
     ],
 )
 def test_checkpoint_rejects_corruption(tmp_path, corrupt):

@@ -7,9 +7,12 @@ test_gradcheck.py.
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from maxvit import ops
+from maxvit.checks import GELU_F32_BOUND, _check_gelu_f32_matches_exact
 from maxvit.errors import DataError, DimensionError, PartitionError
+from maxvit.tape import GradTape
 from maxvit.tensor import Tensor, tensor
 
 
@@ -138,6 +141,41 @@ def test_gelu_matches_scalar_definition():
 def test_gelu_known_points():
     got = ops.gelu(_t64([0.0, 1.0, -1.0]))
     np.testing.assert_allclose(got.data, [0.0, 0.841345, -0.158655], atol=1e-6)
+
+
+def test_gelu_f64_is_the_exact_erf_form_bitwise():
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.standard_normal(5000) * 4, [0.0, -0.0, 1e-300, -40.0, 40.0]])
+    # the exact form as ops has always evaluated it; x / sqrt(2) would differ from x * (1 / sqrt(2)) in the last bit
+    want = x * (0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0)))))
+    got = ops.gelu(_t64(x)).data
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+_BLOCK = ops._GELU_BLOCK
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(), (0,), (3, 0, 2), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (2, 3, _BLOCK - 1)],
+    ids=["0d", "empty", "empty-3d", "block-1", "block", "block+1", "2x3x(block-1)"],
+)
+def test_gelu_f32_dtype_shape_and_values(shape):
+    x = Tensor(np.asarray(np.random.default_rng(12).standard_normal(shape) * 4, np.float32))
+    with GradTape() as tape:
+        y = ops.gelu(x)
+        loss = ops.reduce_sum(y)
+    (g,) = tape.gradient(loss, [x])
+    assert y.dtype == g.dtype == np.float32
+    assert y.shape == g.shape == shape
+    x64 = x.data.astype(np.float64)
+    exact = ops.gelu(Tensor(x64)).data
+    assert (np.abs(y.data - exact) <= GELU_F32_BOUND * np.maximum(1.0, np.abs(x64))).all()
+
+
+def test_gelu_f32_matches_exact_property():
+    _check_gelu_f32_matches_exact()
 
 
 def test_sigmoid_silu():
