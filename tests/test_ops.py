@@ -5,13 +5,15 @@ the vectorized implementations they check. Gradient coverage lives in
 test_gradcheck.py.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
 from maxvit import ops
 from maxvit.checks import GELU_F32_BOUND, _check_gelu_f32_matches_exact
-from maxvit.errors import DataError, DimensionError, PartitionError
+from maxvit.errors import ConfigError, DataError, DimensionError, PartitionError
 from maxvit.tape import GradTape
 from maxvit.tensor import Tensor, tensor
 
@@ -154,24 +156,36 @@ def test_gelu_f64_is_the_exact_erf_form_bitwise():
 
 
 _BLOCK = ops._GELU_BLOCK
+_GELU_SHAPES = [(), (0,), (3, 0, 2), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (2, 3, _BLOCK - 1)]
+_GELU_IDS = ["0d", "empty", "empty-3d", "block-1", "block", "block+1", "2x3x(block-1)"]
 
 
 @pytest.mark.parametrize(
-    "shape",
-    [(), (0,), (3, 0, 2), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (2, 3, _BLOCK - 1)],
-    ids=["0d", "empty", "empty-3d", "block-1", "block", "block+1", "2x3x(block-1)"],
+    "shape,dtype",
+    [(s, np.float32) for s in _GELU_SHAPES] + [(s, np.float64) for s in _GELU_SHAPES],
+    ids=_GELU_IDS + [f"{i}-f64" for i in _GELU_IDS],
 )
-def test_gelu_f32_dtype_shape_and_values(shape):
-    x = Tensor(np.asarray(np.random.default_rng(12).standard_normal(shape) * 4, np.float32))
+def test_gelu_f32_dtype_shape_and_values(shape, dtype):
+    """Both dtypes at the block edges: values within the f32 bound of the exact form
+    (f64 is the exact form), and a gradient bitwise equal to the unblocked formula."""
+    rng = np.random.default_rng(12)
+    x = Tensor(np.asarray(rng.standard_normal(shape) * 4, dtype))
+    w = Tensor(np.asarray(rng.standard_normal(shape), dtype))
     with GradTape() as tape:
         y = ops.gelu(x)
-        loss = ops.reduce_sum(y)
+        loss = ops.reduce_sum(ops.mul(y, w))
     (g,) = tape.gradient(loss, [x])
-    assert y.dtype == g.dtype == np.float32
+    assert y.dtype == g.dtype == dtype
     assert y.shape == g.shape == shape
     x64 = x.data.astype(np.float64)
     exact = ops.gelu(Tensor(x64)).data
     assert (np.abs(y.data - exact) <= GELU_F32_BOUND * np.maximum(1.0, np.abs(x64))).all()
+    if dtype == np.float32:
+        cdf = ops._gelu_f32(x.data)[1]
+    else:
+        cdf = 0.5 * (1.0 + erf(x.data * (1.0 / math.sqrt(2.0))))
+    want = w.data * (cdf + x.data * (np.exp(-0.5 * x.data**2) * (1.0 / math.sqrt(2.0 * math.pi))))
+    assert np.array_equal(g.data, want)
 
 
 def test_gelu_f32_matches_exact_property():
@@ -206,6 +220,20 @@ def test_layer_norm_affine():
     np.testing.assert_allclose(y, base * 2.0 + 1.0, rtol=1e-12)
 
 
+def _batch_norm_train_reference(x, gamma, beta, g, eps=1e-5):
+    """The unfolded batch norm: (out, mean, var, dx, dgamma, dbeta) for cotangent g."""
+    red = (0, 1, 2)
+    mean = x.mean(axis=red)
+    var = x.var(axis=red)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv
+    gx = g * gamma
+    m1 = gx.mean(axis=red)
+    m2 = (gx * xhat).mean(axis=red)
+    dx = (gx - m1 - xhat * m2) * inv
+    return xhat * gamma + beta, mean, var, dx, (g * xhat).sum(axis=red), g.sum(axis=red)
+
+
 def test_batch_norm_train_stats():
     rng = np.random.default_rng(8)
     x = _t64(rng.standard_normal((4, 3, 3, 5)) * 3.0 + 1.0)
@@ -213,6 +241,64 @@ def test_batch_norm_train_stats():
     np.testing.assert_allclose(mean, x.data.mean(axis=(0, 1, 2)))
     np.testing.assert_allclose(var, x.data.var(axis=(0, 1, 2)))
     np.testing.assert_allclose(y.data.mean(axis=(0, 1, 2)), 0.0, atol=1e-12)
+    for c in (16, 64):
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            arrays = [
+                rng.standard_normal((4, 6, 6, c)) * 3.0 + 1.0,
+                rng.standard_normal(c) + 1.0,
+                rng.standard_normal(c),
+                rng.standard_normal((4, 6, 6, c)),
+            ]
+            xa, gamma, beta, w = (Tensor(a.astype(dtype)) for a in arrays)
+            with GradTape() as tape:
+                y, mean, var = ops.batch_norm_train(xa, gamma, beta)
+                loss = ops.reduce_sum(ops.mul(y, w))
+            got = [y.data, mean, var] + [t.data for t in tape.gradient(loss, [xa, gamma, beta])]
+            want = _batch_norm_train_reference(xa.data, gamma.data, beta.data, w.data)
+            for name, a, b in zip(("out", "mean", "var", "dx", "dgamma", "dbeta"), got, want):
+                assert a.dtype == dtype, (c, name)
+                np.testing.assert_allclose(a, b, rtol=tol, atol=tol * np.abs(b).max(), err_msg=f"C={c} {name}")
+
+
+_BN_C = 4
+
+
+def _bn_call(op, **bad):
+    """Call a batch-norm op on f32 NHWC input with the given per-channel arguments replaced."""
+    kw = dict(
+        x=Tensor(np.zeros((2, 3, 3, _BN_C), np.float32)),
+        gamma=Tensor(np.ones(_BN_C, np.float32)),
+        beta=Tensor(np.zeros(_BN_C, np.float32)),
+        running_mean=np.zeros(_BN_C, np.float32),
+        running_var=np.ones(_BN_C, np.float32),
+    )
+    kw.update(bad)
+    if op == "train":
+        return ops.batch_norm_train(kw["x"], kw["gamma"], kw["beta"])
+    return ops.batch_norm_inference(**kw)
+
+
+@pytest.mark.parametrize(
+    "op,bad,error",
+    [
+        ("inference", {"gamma": Tensor(np.ones(_BN_C + 1, np.float32))}, DimensionError),
+        ("inference", {"beta": Tensor(np.zeros(_BN_C + 1, np.float32))}, DimensionError),
+        ("inference", {"running_mean": np.zeros(1, np.float32)}, DimensionError),
+        ("inference", {"running_var": np.ones(_BN_C + 1, np.float32)}, DimensionError),
+        ("inference", {"gamma": Tensor(np.ones(_BN_C))}, DataError),
+        ("inference", {"running_mean": np.zeros(_BN_C), "running_var": np.ones(_BN_C)}, DataError),
+        ("inference", {"running_mean": [0.0] * _BN_C}, DataError),
+        ("train", {"gamma": Tensor(np.ones(_BN_C))}, DataError),
+        ("train", {"beta": Tensor(np.zeros(_BN_C))}, DataError),
+    ],
+    ids=[
+        "inference-gamma-C+1", "inference-beta-C+1", "inference-mean-1", "inference-var-C+1",
+        "inference-f64-gamma", "inference-f64-stats", "inference-list-mean", "train-f64-gamma", "train-f64-beta",
+    ],
+)
+def test_batch_norm_rejects_misshaped_or_mixed_dtype_params(op, bad, error):
+    with pytest.raises(error):
+        _bn_call(op, **bad)
 
 
 def test_batch_norm_inference_is_batch_independent():
@@ -299,6 +385,23 @@ def test_avg_pool2d():
     np.testing.assert_allclose(y.data[0, :, :, 0], [[2.5, 4.5], [10.5, 12.5]])
     with pytest.raises(PartitionError):
         ops.avg_pool2d(_t64(np.zeros((1, 5, 4, 1))), 2)
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda x: ops.conv2d(x, _t64(np.ones((3, 3, 2, 2))), stride=0), ConfigError),
+        (lambda x: ops.conv2d(x, _t64(np.ones((1, 1, 2, 2))), stride=0), ConfigError),
+        (lambda x: ops.depthwise_conv2d(x, _t64(np.ones((3, 3, 2))), stride=0), ConfigError),
+        (lambda x: ops.depthwise_conv2d(x, _t64(np.ones((3, 3, 2))), stride=-1), ConfigError),
+        (lambda x: ops.avg_pool2d(x, 0), PartitionError),
+        (lambda x: ops.avg_pool2d(x, -2), PartitionError),
+    ],
+    ids=["conv3x3-stride0", "conv1x1-stride0", "depthwise-stride0", "depthwise-stride-1", "pool-0", "pool-2"],
+)
+def test_non_positive_stride_or_pool_size_rejected(call, error):
+    with pytest.raises(error):
+        call(_t64(np.zeros((1, 4, 4, 2))))
 
 
 # -- gather ---------------------------------------------------------------------------
