@@ -168,6 +168,8 @@ def _norm_axes(axes, ndim) -> tuple[int, ...]:
         return tuple(range(ndim))
     if isinstance(axes, int):
         axes = (axes,)
+    if any(not -ndim <= a < ndim for a in axes):
+        raise DimensionError(f"reduction axes {axes} out of range for rank {ndim}")
     out = tuple(sorted(a % ndim for a in axes))
     if len(set(out)) != len(out):
         raise DimensionError(f"duplicate reduction axes {axes}")
@@ -344,6 +346,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError(f"layer_norm: affines {gamma.shape}/{beta.shape} do not match feature dim {c}")
+    _same_dtype("layer_norm", x, gamma, beta)
     mean = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
@@ -446,7 +449,12 @@ def batch_norm_inference(
 
 # -- convolution -------------------------------------------------------------------
 
-def _check_stride(context: str, stride: int) -> None:
+_TAP_BLOCK = 1 << 16  # elements of a row block's widest operand: one tap's slice, product and sum stay in L2
+
+
+def _check_kernel(context: str, kh: int, kw: int, stride: int) -> None:
+    if kh < 1 or kw < 1:
+        raise DimensionError(f"{context}: kernel extent ({kh}, {kw}) must be positive")
     if stride < 1:
         raise ConfigError(f"{context}: stride must be >= 1, got {stride}")
 
@@ -458,10 +466,107 @@ def _same_pad(extent: int, k: int, stride: int) -> tuple[int, int]:
     return total // 2, total - total // 2
 
 
+def _phase_slices(extent: int, pad: int, s: int) -> list[tuple[slice, slice]]:
+    """Per phase r < s: the input slice whose padded index is r mod s, and its phase-plane slice."""
+    out = []
+    for r in range(s):
+        i0 = (r - pad) % s
+        q0 = (pad + i0) // s
+        out.append((slice(i0, extent, s), slice(q0, q0 + len(range(i0, extent, s)))))
+    return out
+
+
+def _shifted_taps(src: np.ndarray, taps, out: np.ndarray) -> None:
+    """out[r] = sum over taps (off, p, w) of src[p, r + off] @ w, or * w for a 1-D w.
+
+    `src` is (phases, rows, C), `out` is (n, cout) and every r + off < rows.
+    Rows are walked in blocks of about `_TAP_BLOCK` elements, so that each
+    tap's slice, its product and the block's sum stay in L2.
+    """
+    n, cout = out.shape
+    rows = max(1, _TAP_BLOCK // max(src.shape[-1], cout, 1))
+    tmp = np.empty((min(rows, n), cout), src.dtype)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        acc, t = out[r0:r1], tmp[:r1 - r0]
+        for k, (off, p, w) in enumerate(taps):
+            mul = np.matmul if w.ndim == 2 else np.multiply
+            mul(src[p, r0 + off:r1 + off], w, out=t if k else acc)
+            if k:
+                acc += t
+
+
+def _tap_conv(x: np.ndarray, kh: int, kw: int, stride: int, taps, fold_phases: bool):
+    """'same' conv of NHWC `x` as shifted taps over its flat padded plane.
+
+    The input is padded once into s*s phase planes of hout + ceil(k/s) - 1
+    rows and wq = wout + ceil(k/s) - 1 columns; padded pixel (p, q) lands at
+    row p // s, column q // s of phase (p % s, q % s). Viewed flat, a tap
+    (a, b, phase, w) reads rows at offset a*wq + b of its phase. With
+    `fold_phases` the phases are folded into channels (space-to-depth) and
+    every tap's phase is 0. Output rows are computed at the plane's width,
+    then cropped.
+    Returns (y, backward), backward(g) -> (gx, [gw per tap]).
+    """
+    bsz, h, wid, c = x.shape
+    cout = taps[0][3].shape[-1]
+    s = stride
+    (pt, _), (pl, _) = _same_pad(h, kh, s), _same_pad(wid, kw, s)
+    hout, wout = -(-h // s), -(-wid // s)
+    hq, wq = hout - 1 + -(-kh // s), wout - 1 + -(-kw // s)
+    rows = bsz * hq * wq
+    phases = [
+        ((slice(None), xr, xc), (r, t, slice(None), qr, qc))
+        for r, (xr, qr) in enumerate(_phase_slices(h, pt, s))
+        for t, (xc, qc) in enumerate(_phase_slices(wid, pl, s))
+    ]
+
+    def phase_view(a: np.ndarray):
+        """(s, s, B, hq, wq, C) view of a plane laid out for the walker."""
+        return a.transpose(3, 4, 0, 1, 2, 5) if fold_phases else a
+
+    shape = (bsz, hq, wq, s, s, c) if fold_phases else (s, s, bsz, hq, wq, c)
+    plane = np.zeros(shape, x.dtype)
+    for xi, qi in phases:
+        phase_view(plane)[qi] = x[xi]
+    plane = plane.reshape((1, rows, s * s * c) if fold_phases else (s * s, rows, c))
+    flat_taps = [(a * wq + b, p, w) for a, b, p, w in taps]
+    reach = max(off for off, _, _ in flat_taps)
+    y = np.empty((rows, cout), x.dtype)
+    _shifted_taps(plane, flat_taps, y[:rows - reach])  # the rows past it are all cropped
+    y = y.reshape(bsz, hq, wq, cout)[:, :hout, :wout]
+
+    def backward(g):
+        # g at the plane's width, behind `reach` zero rows: the data gradient is
+        # then the same walk over g, with each tap's offset mirrored.
+        gpad = np.zeros((1, reach + rows, cout), g.dtype)
+        gpad[0, reach:].reshape(bsz, hq, wq, cout)[:, :hout, :wout] = g
+        gplane = np.zeros_like(plane)  # a phase no tap reads (k < s) keeps a zero gradient
+        for p in range(len(plane)):
+            mirrored = [(reach - off, 0, w.T) for off, q, w in flat_taps if q == p]
+            _shifted_taps(gpad, mirrored, gplane[p])
+        gflat = gpad[0, reach:]
+        gws = [
+            plane[p, off:off + rows - reach].T @ gflat[:rows - reach] if w.ndim == 2
+            else _channel_sum(plane[p, off:off + rows - reach], gflat[:rows - reach])
+            for off, p, w in flat_taps
+        ]
+        gx = np.empty_like(x)
+        gp = phase_view(gplane.reshape(shape))
+        for xi, qi in phases:
+            gx[xi] = gp[qi]
+        return gx, gws
+
+    return y, backward
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
     """NHWC 'same' convolution. w: (kh, kw, cin, cout); odd pad goes bottom/right.
 
-    Lowered to one matmul via im2col; 1x1 kernels skip the patch gather.
+    A 1x1 stride-1 kernel is one matmul. Any other kernel is a sum of shifted
+    matmuls over the flat padded input (`_tap_conv`); stride s first moves each
+    s x s pixel block into channels (space-to-depth), which turns the kernel
+    into a zero-padded ceil(k/s) x ceil(k/s) kernel over s*s*cin channels.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d: expected NHWC input and (kh,kw,cin,cout) kernel, got {x.shape}, {w.shape}")
@@ -472,11 +577,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     if b is not None and b.shape != (cout,):
         raise DimensionError(f"conv2d: bias shape {b.shape} does not match {cout} output channels")
     _same_dtype("conv2d", *( (x, w) if b is None else (x, w, b) ))
-    _check_stride("conv2d", stride)
-    ph = _same_pad(h, kh, stride)
-    pw = _same_pad(wid, kw, stride)
-    hout = -(-h // stride)
-    wout = -(-wid // stride)
+    _check_kernel("conv2d", kh, kw, stride)
+    inputs = (x, w) if b is None else (x, w, b)
 
     if kh == 1 and kw == 1 and stride == 1:
         flat = x.data.reshape(bsz * h * wid, cin)
@@ -489,44 +591,38 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
             gf = g.reshape(bsz * h * wid, cout)
             gx = (gf @ w.data.reshape(cin, cout).T).reshape(x.shape)
             gw = (flat.T @ gf).reshape(w.shape)
-            if b is None:
-                return gx, gw
-            return gx, gw, gf.sum(axis=0)
+            return (gx, gw) if b is None else (gx, gw, gf.sum(axis=0))
 
-        record(out, (x, w) if b is None else (x, w, b), backward1x1)
+        record(out, inputs, backward1x1)
         return out
 
-    xp = np.pad(x.data, ((0, 0), ph, pw, (0, 0)))
-    # Gather kh*kw strided views into an explicit patch tensor: (B, Ho, Wo, kh, kw, Cin)
-    cols = np.empty((bsz, hout, wout, kh, kw, cin), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, :, i, j, :] = xp[:, i : i + stride * hout : stride, j : j + stride * wout : stride, :]
-    flat = cols.reshape(bsz * hout * wout, kh * kw * cin)
-    y = flat @ w.data.reshape(kh * kw * cin, cout)
-    if b is not None:
-        y = y + b.data
-    out = _out(y.reshape(bsz, hout, wout, cout), "conv2d")
+    s = stride
+    kqh, kqw = -(-kh // s), -(-kw // s)
+    wpad = np.zeros((kqh * s, kqw * s, cin, cout), w.dtype)
+    wpad[:kh, :kw] = w.data
+    # (kqh, s, kqw, s, cin, cout) -> (kqh, kqw, s*s*cin, cout), matching the plane's (s, s, cin) channel order
+    wfold = wpad.reshape(kqh, s, kqw, s, cin, cout).transpose(0, 2, 1, 3, 4, 5).reshape(kqh, kqw, s * s * cin, cout)
+    taps = [(i, j, 0, wfold[i, j]) for i in range(kqh) for j in range(kqw)]
+    y, tap_backward = _tap_conv(x.data, kh, kw, s, taps, fold_phases=True)
+    y = y + b.data if b is not None else np.ascontiguousarray(y)
+    out = _out(y, "conv2d")
 
     def backward(g):
-        gf = g.reshape(bsz * hout * wout, cout)
-        gw = (flat.T @ gf).reshape(w.shape)
-        gcols = (gf @ w.data.reshape(kh * kw * cin, cout).T).reshape(bsz, hout, wout, kh, kw, cin)
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, i : i + stride * hout : stride, j : j + stride * wout : stride, :] += gcols[:, :, :, i, j, :]
-        gx = gxp[:, ph[0] : ph[0] + h, pw[0] : pw[0] + wid, :]
-        if b is None:
-            return np.ascontiguousarray(gx), gw
-        return np.ascontiguousarray(gx), gw, gf.sum(axis=0)
+        gx, gws = tap_backward(g)
+        gw = np.stack(gws).reshape(kqh, kqw, s, s, cin, cout).transpose(0, 2, 1, 3, 4, 5)
+        gw = np.ascontiguousarray(gw.reshape(wpad.shape)[:kh, :kw])
+        return (gx, gw) if b is None else (gx, gw, _channel_sum(g))
 
-    record(out, (x, w) if b is None else (x, w, b), backward)
+    record(out, inputs, backward)
     return out
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
-    """Per-channel NHWC 'same' convolution. w: (kh, kw, c); no channel mixing."""
+    """Per-channel NHWC 'same' convolution. w: (kh, kw, c); no channel mixing.
+
+    A sum of shifted elementwise products over the flat padded input
+    (`_tap_conv`); stride s reads tap (i, j) from phase plane (i % s, j % s).
+    """
     if x.ndim != 4 or w.ndim != 3:
         raise DimensionError(f"depthwise_conv2d: expected NHWC input and (kh,kw,c) kernel, got {x.shape}, {w.shape}")
     bsz, h, wid, c = x.shape
@@ -534,28 +630,15 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     if wc != c:
         raise DimensionError(f"depthwise_conv2d: kernel has {wc} channels, tensor has {c}")
     _same_dtype("depthwise_conv2d", x, w)
-    _check_stride("depthwise_conv2d", stride)
-    ph = _same_pad(h, kh, stride)
-    pw = _same_pad(wid, kw, stride)
-    hout = -(-h // stride)
-    wout = -(-wid // stride)
-    xp = np.pad(x.data, ((0, 0), ph, pw, (0, 0)))
-    y = np.zeros((bsz, hout, wout, c), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            y += xp[:, i : i + stride * hout : stride, j : j + stride * wout : stride, :] * w.data[i, j]
-    out = _out(y, "depthwise_conv2d")
+    _check_kernel("depthwise_conv2d", kh, kw, stride)
+    s = stride
+    taps = [(i // s, j // s, (i % s) * s + j % s, w.data[i, j]) for i in range(kh) for j in range(kw)]
+    y, tap_backward = _tap_conv(x.data, kh, kw, s, taps, fold_phases=False)
+    out = _out(np.ascontiguousarray(y), "depthwise_conv2d")
 
     def backward(g):
-        gw = np.zeros_like(w.data)
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                piece = xp[:, i : i + stride * hout : stride, j : j + stride * wout : stride, :]
-                gw[i, j] = (g * piece).sum(axis=(0, 1, 2))
-                gxp[:, i : i + stride * hout : stride, j : j + stride * wout : stride, :] += g * w.data[i, j]
-        gx = gxp[:, ph[0] : ph[0] + h, pw[0] : pw[0] + wid, :]
-        return np.ascontiguousarray(gx), gw
+        gx, gws = tap_backward(g)
+        return gx, np.stack(gws).reshape(w.shape)
 
     record(out, (x, w), backward)
     return out
@@ -593,7 +676,7 @@ def gather_rows(table: Tensor, index: np.ndarray) -> Tensor:
     idx = np.asarray(index)
     if not np.issubdtype(idx.dtype, np.integer):
         raise DataError("gather_rows: index must be integral")
-    if idx.min() < 0 or idx.max() >= table.shape[1]:
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[1]):
         raise DataError(
             f"gather_rows: index range [{idx.min()}, {idx.max()}] exceeds table entries {table.shape[1]}"
         )

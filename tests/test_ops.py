@@ -2,7 +2,8 @@
 
 Oracles are deliberately naive (triple loops, scalar math) and independent of
 the vectorized implementations they check. Gradient coverage lives in
-test_gradcheck.py.
+test_gradcheck.py; the conv tests also check their VJP against central
+differences of the loop oracle.
 """
 
 import math
@@ -129,6 +130,14 @@ def test_reductions():
     assert ops.reduce_mean(x).item() == 2.5
     assert ops.reduce_mean(x, axes=(0,)).tolist() == [2.0, 3.0]
     assert ops.reduce_sum(x, axes=(1,), keepdims=True).tolist() == [[3.0], [7.0]]
+    assert ops.reduce_sum(x, axes=-1).tolist() == [3.0, 7.0]
+
+
+@pytest.mark.parametrize("op", [ops.reduce_sum, ops.reduce_mean], ids=["sum", "mean"])
+@pytest.mark.parametrize("axes", [5, 2, -3, (1, 2)], ids=["5", "2", "-3", "1,2"])
+def test_reduction_axes_out_of_range_rejected(op, axes):
+    with pytest.raises(DimensionError):
+        op(_t64(np.ones((2, 3))), axes=axes)
 
 
 def test_gelu_matches_scalar_definition():
@@ -218,6 +227,15 @@ def test_layer_norm_affine():
     base = ops.layer_norm(x, _t64(np.ones(8)), _t64(np.zeros(8))).data
     y = ops.layer_norm(x, gamma, beta).data
     np.testing.assert_allclose(y, base * 2.0 + 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["gamma", "beta"])
+def test_layer_norm_rejects_mixed_dtype_affines(which):
+    x = Tensor(np.ones((2, 4), np.float32))
+    affines = {"gamma": Tensor(np.ones(4, np.float32)), "beta": Tensor(np.zeros(4, np.float32))}
+    affines[which] = Tensor(affines[which].data.astype(np.float64))
+    with pytest.raises(DataError):
+        ops.layer_norm(x, **affines)
 
 
 def _batch_norm_train_reference(x, gamma, beta, g, eps=1e-5):
@@ -337,15 +355,67 @@ def conv2d_oracle(x, w, b=None, stride=1):
     return out
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("k", [1, 3])
-def test_conv2d_against_loop_oracle(stride, k):
+# max |f32 - f64| / max |f64| of a conv's output and gradients, the f64 side run on
+# the f32-rounded inputs; measured up to 2.7e-7 on the cases below
+CONV_F32_BOUND = 2e-6
+
+
+def _check_conv_against_oracle(conv, oracle, arrays, seed):
+    """`conv` on Tensors against `oracle` on the same f64 arrays.
+
+    Checks the forward; the gradient of sum(y * c) for a random cotangent c
+    against central differences of the oracle along random directions (the
+    conv is linear in each input, so these are exact up to rounding); and
+    the f32 output and gradients against f64 within CONV_F32_BOUND.
+    """
+    rng = np.random.default_rng(seed)
+    want = oracle(*arrays)
+    cot = rng.standard_normal(want.shape).astype(np.float32).astype(np.float64)  # exact in both dtypes
+
+    def run(dtype, inputs):
+        ts = [Tensor(a.astype(dtype)) for a in inputs]
+        with GradTape() as tape:
+            y = conv(*ts)
+            loss = ops.reduce_sum(ops.mul(y, Tensor(cot.astype(dtype))))
+        return [y] + tape.gradient(loss, ts)
+
+    y, *grads = run(np.float64, arrays)
+    np.testing.assert_allclose(y.data, want, rtol=1e-10, atol=1e-12)
+    h = 1e-3
+    for i, g in enumerate(grads):
+        for _ in range(3):
+            v = rng.standard_normal(arrays[i].shape)
+            shifted = [[a + sign * h * v if j == i else a for j, a in enumerate(arrays)] for sign in (1, -1)]
+            fd = ((oracle(*shifted[0]) - oracle(*shifted[1])) * cot).sum() / (2 * h)
+            np.testing.assert_allclose((g.data * v).sum(), fd, rtol=1e-8, atol=1e-10)
+    rounded = [a.astype(np.float32).astype(np.float64) for a in arrays]
+    for got, ref in zip(run(np.float32, arrays), run(np.float64, rounded)):
+        assert got.dtype == np.float32 and got.shape == ref.shape
+        assert np.abs(got.data - ref.data).max() <= CONV_F32_BOUND * np.abs(ref.data).max()
+
+
+# (k, stride, extent); the 6x8 cases keep their original ids
+_CONV_CASES = [
+    pytest.param(k, s, hw, id=f"{k}-{s}" if hw == (6, 8) else f"{k}-{s}-{hw[0]}x{hw[1]}")
+    for hw in [(6, 8), (5, 7)]
+    for s in [1, 2]
+    for k in [1, 3]
+]
+
+
+@pytest.mark.parametrize("k,stride,extent", _CONV_CASES)
+def test_conv2d_against_loop_oracle(k, stride, extent, monkeypatch):
+    monkeypatch.setattr(ops, "_TAP_BLOCK", 40)  # several row blocks, the last one short
     rng = np.random.default_rng(11 + stride + k)
-    x = rng.standard_normal((2, 6, 8, 3))
+    x = rng.standard_normal((2, *extent, 3))
     w = rng.standard_normal((k, k, 3, 4))
     b = rng.standard_normal(4)
-    got = ops.conv2d(_t64(x), _t64(w), _t64(b), stride=stride)
-    np.testing.assert_allclose(got.data, conv2d_oracle(x, w, b, stride), rtol=1e-10, atol=1e-12)
+    _check_conv_against_oracle(
+        lambda x, w, b: ops.conv2d(x, w, b, stride=stride),
+        lambda x, w, b: conv2d_oracle(x, w, b, stride),
+        [x, w, b],
+        seed=k + stride + extent[0],
+    )
 
 
 def test_conv2d_identity_kernel():
@@ -366,16 +436,23 @@ def test_conv2d_odd_extent_stride2_pads_bottom_right():
     np.testing.assert_allclose(got.data, conv2d_oracle(x, w, None, 2), rtol=1e-10, atol=1e-12)
 
 
-def test_depthwise_matches_grouped_oracle():
+@pytest.mark.parametrize("k,stride,extent", _CONV_CASES)
+def test_depthwise_matches_grouped_oracle(k, stride, extent, monkeypatch):
+    monkeypatch.setattr(ops, "_TAP_BLOCK", 40)  # several row blocks, the last one short
     rng = np.random.default_rng(14)
-    x = rng.standard_normal((2, 6, 6, 3))
-    w = rng.standard_normal((3, 3, 3))
-    got = ops.depthwise_conv2d(_t64(x), _t64(w), stride=2)
-    # express as a full conv with a block-diagonal kernel
-    wfull = np.zeros((3, 3, 3, 3))
-    for c in range(3):
-        wfull[:, :, c, c] = w[:, :, c]
-    np.testing.assert_allclose(got.data, conv2d_oracle(x, wfull, None, 2), rtol=1e-10, atol=1e-12)
+    x = rng.standard_normal((2, *extent, 3))
+    w = rng.standard_normal((k, k, 3))
+
+    def grouped_oracle(x, w):
+        # a full conv with a block-diagonal kernel
+        wfull = np.zeros((k, k, 3, 3))
+        for c in range(3):
+            wfull[:, :, c, c] = w[:, :, c]
+        return conv2d_oracle(x, wfull, None, stride)
+
+    _check_conv_against_oracle(
+        lambda x, w: ops.depthwise_conv2d(x, w, stride=stride), grouped_oracle, [x, w], seed=k + stride + extent[0]
+    )
 
 
 def test_avg_pool2d():
@@ -396,8 +473,17 @@ def test_avg_pool2d():
         (lambda x: ops.depthwise_conv2d(x, _t64(np.ones((3, 3, 2))), stride=-1), ConfigError),
         (lambda x: ops.avg_pool2d(x, 0), PartitionError),
         (lambda x: ops.avg_pool2d(x, -2), PartitionError),
+        (lambda x: ops.conv2d(x, _t64(np.ones((0, 3, 2, 2)))), DimensionError),
+        (lambda x: ops.conv2d(x, _t64(np.ones((3, 0, 2, 2))), stride=2), DimensionError),
+        (lambda x: ops.conv2d(x, _t64(np.ones((0, 0, 2, 2)))), DimensionError),
+        (lambda x: ops.depthwise_conv2d(x, _t64(np.ones((0, 3, 2)))), DimensionError),
+        (lambda x: ops.depthwise_conv2d(x, _t64(np.ones((3, 0, 2))), stride=2), DimensionError),
     ],
-    ids=["conv3x3-stride0", "conv1x1-stride0", "depthwise-stride0", "depthwise-stride-1", "pool-0", "pool-2"],
+    ids=[
+        "conv3x3-stride0", "conv1x1-stride0", "depthwise-stride0", "depthwise-stride-1", "pool-0", "pool-2",
+        "conv-kernel0x3", "conv-kernel3x0-stride2", "conv-kernel0x0", "depthwise-kernel0x3",
+        "depthwise-kernel3x0-stride2",
+    ],
 )
 def test_non_positive_stride_or_pool_size_rejected(call, error):
     with pytest.raises(error):
@@ -415,3 +501,14 @@ def test_gather_rows():
     assert got.data[1].tolist() == [[1.0, 3.0], [2.0, 2.0]]
     with pytest.raises(DataError):
         ops.gather_rows(table, np.array([[3]]))
+
+
+@pytest.mark.parametrize("shape", [(0,), (2, 0)], ids=["empty", "2x0"])
+def test_gather_rows_empty_index(shape):
+    table = _t64([[10.0, 20.0, 30.0], [1.0, 2.0, 3.0]])
+    with GradTape() as tape:
+        y = ops.gather_rows(table, np.zeros(shape, np.int64))
+        loss = ops.reduce_sum(y)
+    assert y.shape == (2, *shape)
+    (g,) = tape.gradient(loss, [table])
+    assert g.shape == table.shape and not g.data.any()
