@@ -541,10 +541,13 @@ def _tap_conv(x: np.ndarray, kh: int, kw: int, stride: int, taps, fold_phases: b
         # then the same walk over g, with each tap's offset mirrored.
         gpad = np.zeros((1, reach + rows, cout), g.dtype)
         gpad[0, reach:].reshape(bsz, hq, wq, cout)[:, :hout, :wout] = g
-        gplane = np.zeros_like(plane)  # a phase no tap reads (k < s) keeps a zero gradient
+        gplane = np.empty_like(plane)  # the walk overwrites every row of each phase a tap reads
         for p in range(len(plane)):
             mirrored = [(reach - off, 0, w.T) for off, q, w in flat_taps if q == p]
-            _shifted_taps(gpad, mirrored, gplane[p])
+            if mirrored:
+                _shifted_taps(gpad, mirrored, gplane[p])
+            else:  # a phase no tap reads (k < s) has a zero gradient
+                gplane[p] = 0
         gflat = gpad[0, reach:]
         gws = [
             plane[p, off:off + rows - reach].T @ gflat[:rows - reach] if w.ndim == 2

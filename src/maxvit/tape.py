@@ -5,6 +5,12 @@ its input tensors, and a backward callable mapping the output cotangent to one
 cotangent per input (or None for inputs the op does not differentiate).
 `gradient` replays the tape in reverse, accumulating cotangents by tensor
 identity. Parameters that do not influence the loss get exact-zero gradients.
+
+The sweep frees as it goes: it takes the entry list off the tape, drops each
+entry (and with it the activations its backward captured) once it has run,
+and drops each intermediate cotangent once its entry has read it, so the
+forward's and the backward's arrays are never all alive at once. A tape is
+therefore single-use: a second `gradient` call raises `ConfigError`.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .tensor import Tensor
 
 __all__ = ["GradTape", "active_tape", "record"]
@@ -35,6 +41,7 @@ class GradTape:
 
     def __init__(self):
         self._entries: list[_Entry] = []
+        self._swept = False
 
     def __enter__(self) -> "GradTape":
         _ACTIVE.append(self)
@@ -53,32 +60,58 @@ class GradTape:
         Tensors among `params` that the recorded computation never used (or
         that only feed non-differentiable arguments) come back as zeros of
         the parameter's own shape and dtype.
+
+        The sweep consumes the tape: each entry is released once its backward
+        has run, and each cotangent that is not one of `params` once its
+        entry has read it. A tape yields gradients once; calling `gradient`
+        again raises `ConfigError`. Entries shared with an enclosing tape stay
+        on that tape, so the outer tape can still be swept afterwards.
         """
+        if self._swept:
+            raise ConfigError("gradient() was already called on this tape; a tape yields gradients once")
         if output.size != 1:
             raise DimensionError(f"gradient() needs a scalar output, got shape {output.shape}")
+        self._swept = True
+        entries, self._entries = self._entries, []
+        keep = {id(p) for p in params}
+        pending = {id(e.out) for e in entries}  # outputs of entries not yet swept
         grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
-        for entry in reversed(self._entries):
-            g_out = grads.get(id(entry.out))
-            if g_out is None:
-                continue
-            g_inputs = entry.backward(g_out)
-            for inp, g in zip(entry.inputs, g_inputs):
-                if g is None:
-                    continue
-                if g.shape != inp.shape:
-                    raise DimensionError(
-                        f"backward produced gradient of shape {g.shape} for input of shape {inp.shape}"
-                    )
-                acc = grads.get(id(inp))
-                if acc is None:
-                    grads[id(inp)] = g.astype(inp.dtype, copy=False)
-                else:
-                    grads[id(inp)] = acc + g
+        while entries:
+            entry = entries.pop()
+            key = id(entry.out)
+            pending.discard(key)
+            g_out = grads.get(key) if key in keep else grads.pop(key, None)
+            if g_out is not None:
+                _accumulate(grads, entry.inputs, entry.backward(g_out), keep, pending)
+            del entry, g_out
         out: list[Tensor] = []
         for p in params:
             g = grads.get(id(p))
             out.append(Tensor(np.asarray(g).copy()) if g is not None else Tensor(np.zeros_like(p.data)))
         return out
+
+
+def _accumulate(grads, inputs, g_inputs, keep, pending) -> None:
+    """Add one entry's input cotangents into `grads`.
+
+    Only inputs that are requested parameters or outputs of entries still to
+    be swept are stored; any other cotangent (a data leaf's) has no reader.
+    """
+    for inp, g in zip(inputs, g_inputs):
+        if g is None:
+            continue
+        if g.shape != inp.shape:
+            raise DimensionError(
+                f"backward produced gradient of shape {g.shape} for input of shape {inp.shape}"
+            )
+        key = id(inp)
+        if key not in keep and key not in pending:
+            continue
+        acc = grads.get(key)
+        if acc is None:
+            grads[key] = g.astype(inp.dtype, copy=False)
+        else:
+            grads[key] = acc + g
 
 
 def active_tape() -> Optional[GradTape]:

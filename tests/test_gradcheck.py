@@ -1,12 +1,14 @@
 """Reverse-mode gradients against central differences, plus tape semantics."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from maxvit import ops
-from maxvit.errors import DimensionError, NumericError
+from maxvit.errors import ConfigError, DimensionError, NumericError
 from maxvit.gradcheck import GRAD_TOL, grad_check, primitive_cases
-from maxvit.tape import GradTape
+from maxvit.tape import GradTape, record
 from maxvit.tensor import Tensor, tensor
 
 
@@ -91,6 +93,67 @@ def test_nested_tapes_record_independently():
             ops.mul(w, w)
     assert len(inner) == 1
     assert len(outer) == 2  # outer also sees the inner op
+
+
+def test_tape_yields_gradients_once():
+    w = Tensor(np.array([3.0]))
+    with GradTape() as tape:
+        y = ops.reduce_sum(ops.mul(w, w))
+    (g,) = tape.gradient(y, [w])
+    assert g.data.tolist() == [6.0]
+    with pytest.raises(ConfigError):
+        tape.gradient(y, [w])
+
+
+def test_sweep_frees_entries_and_cotangents_as_it_goes():
+    # y = sum(h^2), h = 3w. When h's own backward runs, the later entries'
+    # activation (h^2) and the cotangent they handed down must already be gone.
+    w = Tensor(np.array([1.0, -2.0]))
+    refs = {}
+
+    def h_backward(g):
+        assert refs["activation"]() is None, "the swept entries still hold their activation"
+        assert refs["cotangent"]() is None, "the consumed cotangent is still held"
+        return (3.0 * g,)
+
+    def sq_backward(g):
+        refs["cotangent"] = weakref.ref(g)
+        return (2.0 * h.data * g,)
+
+    with GradTape() as tape:
+        h = Tensor(3.0 * w.data)
+        record(h, (w,), h_backward)
+        z = Tensor(np.square(h.data))
+        record(z, (h,), sq_backward)
+        refs["activation"] = weakref.ref(z.data)
+        y = ops.reduce_sum(z)
+    del z
+    (g,) = tape.gradient(y, [w])
+    assert g.data.tolist() == [18.0, -36.0]  # d/dw sum(9 w^2) = 18 w
+
+
+def _outer_gradient(sweep_inner: bool):
+    w = Tensor(np.array([0.5, -1.5, 2.0]))
+    with GradTape() as outer:
+        a = ops.mul(w, w)
+        with GradTape() as inner:
+            b = ops.mul(a, w)
+            inner_loss = ops.reduce_sum(b)
+        if sweep_inner:
+            g_w, g_a = inner.gradient(inner_loss, [w, a])
+            # the inner tape saw only b = a * w, with a a leaf
+            assert np.array_equal(g_w.data, a.data) and np.array_equal(g_a.data, w.data)
+        y = ops.reduce_sum(ops.add(ops.mul(b, b), a))  # sum(w^6 + w^2)
+    return outer.gradient(y, [w, a])
+
+
+def test_outer_tape_survives_inner_sweep():
+    swept = _outer_gradient(sweep_inner=True)
+    plain = _outer_gradient(sweep_inner=False)
+    for got, want in zip(swept, plain):
+        assert np.array_equal(got.data, want.data)
+    w = np.array([0.5, -1.5, 2.0])
+    np.testing.assert_allclose(swept[0].data, 6 * w**5 + 2 * w, rtol=1e-14)
 
 
 def test_grad_check_rejects_nonfinite_function():
