@@ -33,5 +33,5 @@ print("block roundtrip bitwise equal:", np.array_equal(roundtrip_block.data, x.d
 print("grid roundtrip bitwise equal: ", np.array_equal(roundtrip_grid.data, x.data))
 
 # on square inputs, grid(x, g) is block(x, n//g) with window-and-token axes swapped
-swapped = ops.swapaxes(block(x, 14 // 7), 1, 2)
-print("grid == swapaxes(block):      ", np.array_equal(grid(x, 7).data, swapped.data))
+swapped = ops.transpose(block(x, 14 // 7), (0, 2, 1, 3))
+print("grid == transpose(block):     ", np.array_equal(grid(x, 7).data, swapped.data))

@@ -22,9 +22,9 @@ print(f"index[i,j] + index[j,i] is always {(2 * P - 1) ** 2 - 1} (mirrored displ
 
 rng = np.random.default_rng(1)
 params = init_attention(rng, channels=16, window=P, head_dim=8)
-tokens = Tensor(rng.standard_normal((1, 4, P * P, 16)).astype(np.float32))
-out = multi_head_attention(tokens, params, index)
-print(f"attention on (batch=1, windows=4, tokens={P * P}, channels=16) -> {out.shape}\n")
+x = Tensor(rng.standard_normal((1, 2 * P, 2 * P, 16)).astype(np.float32))
+out = multi_head_attention(x, params, index, "block")
+print(f"block attention on a (1, {2 * P}, {2 * P}, 16) map, 4 windows of {P * P} tokens -> {out.shape}\n")
 
 # transfer a trained 7x7 table to a 12x12 window (e.g. 224 -> 384 inputs)
 table7 = Tensor(rng.standard_normal((2, (2 * 7 - 1) ** 2)).astype(np.float32))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .axes import block, grid, unblock, ungrid
+from .axes import from_heads, to_heads
 from .errors import ConfigError, DimensionError
 from .nn import LayerNormParams, LinearParams, MlpParams, init_layer_norm, init_linear, init_mlp, layer_norm, linear, mlp_ffn
 from .tensor import Tensor, default_dtype
@@ -87,7 +87,8 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor) -> Tensor:
     if q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(f"rel_attention: q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
     d = q.shape[-1]
-    logits = ops.matmul(ops.scale(q, 1.0 / float(np.sqrt(d))), ops.swapaxes(k, -1, -2))
+    kt = ops.transpose(k, (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
+    logits = ops.matmul(ops.scale(q, 1.0 / float(np.sqrt(d))), kt)
     logits = ops.add(logits, bias)
     return ops.matmul(ops.softmax_lastdim(logits), v)
 
@@ -124,25 +125,21 @@ def init_attention(rng, channels: int, window: int, head_dim: int = 32, dtype=No
     )
 
 
-def multi_head_attention(tokens: Tensor, p: AttentionParams, index: np.ndarray) -> Tensor:
-    """Relative attention on (b, groups, L, c) tokens, heads = contiguous channel slices."""
-    b, groups, length, c = tokens.shape
-    heads, d = p.heads, p.head_dim
-    if length != p.window * p.window:
-        raise DimensionError(f"attention window {p.window} expects {p.window ** 2} tokens, got {length}")
+def multi_head_attention(x: Tensor, p: AttentionParams, index: np.ndarray, kind: str) -> Tensor:
+    """Relative attention inside each `kind` ("block" or "grid") group of an NHWC map.
 
-    def split(t: Tensor) -> Tensor:
-        t = ops.reshape(t, (b, groups, length, heads, d))
-        return ops.swapaxes(t, 2, 3)  # (b, groups, heads, L, d)
-
-    q = split(linear(tokens, p.wq))
-    k = split(linear(tokens, p.wk))
-    v = split(linear(tokens, p.wv))
+    q, k and v are projected on the (B, H, W, C) map, and each goes to
+    (B, groups, heads, L, d) in one copy (axes.to_heads); heads are contiguous
+    channel slices. The attended values come back to NHWC in one copy before
+    the output projection, so the result is (B, H, W, C) like x.
+    """
+    size, heads = p.window, p.heads
+    q = to_heads(linear(x, p.wq), kind, size, heads)  # checks that x is a divisible NHWC map
+    k = to_heads(linear(x, p.wk), kind, size, heads)
+    v = to_heads(linear(x, p.wv), kind, size, heads)
     bias = ops.gather_rows(p.bias_table, index)  # (heads, L, L), broadcast over (b, groups)
     out = rel_attention(q, k, v, bias)
-    out = ops.swapaxes(out, 2, 3)
-    out = ops.reshape(out, (b, groups, length, c))
-    return linear(out, p.wo)
+    return linear(from_heads(out, kind, x.shape[1], x.shape[2], size), p.wo)
 
 
 @dataclass
@@ -171,18 +168,7 @@ def init_attention_layer(rng, kind: str, channels: int, window: int, head_dim: i
 
 
 def attention_layer(x: Tensor, p: AttentionLayerParams) -> Tensor:
-    """x += attn(partition(norm(x))); x += mlp(norm(x)); NHWC in and out."""
-    _, h, w, _ = x.shape
-    size = p.attn.window
-    y = layer_norm(x, p.norm1)
-    if p.kind == "block":
-        y = block(y, size)
-        y = multi_head_attention(y, p.attn, p.index)
-        y = unblock(y, h, w, size)
-    else:
-        y = grid(y, size)
-        y = multi_head_attention(y, p.attn, p.index)
-        y = ungrid(y, h, w, size)
-    x = ops.add(x, y)
+    """x += attn(norm(x)) within p.kind groups; x += mlp(norm(x)); NHWC in and out."""
+    x = ops.add(x, multi_head_attention(layer_norm(x, p.norm1), p.attn, p.index, p.kind))
     z = mlp_ffn(layer_norm(x, p.norm2), p.mlp)
     return ops.add(x, z)

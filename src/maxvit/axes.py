@@ -3,11 +3,17 @@
 block() cuts an image into non-overlapping P x P windows (local neighborhoods);
 grid() groups pixels that share the same offset inside a G x G lattice of cells,
 so each group is a dilated sampling of the whole image with stride (H/G, W/G).
-Both are pure index permutations, invertible bitwise, and differentiable
-(composed from reshape/swapaxes primitives).
 
-For square inputs, grid(x, G) equals swapaxes(block(x, H/G), -2, -3): cutting
-into H/G-sized windows and exchanging the "which window" axis with the
+Both are one permutation of one view: the (B, H, W, C) map as
+(B, R1, R2, C1, C2, heads, d) with H = R1*R2, W = C1*C2 and C = heads*d. Block
+windows have (R2, C2) = (P, P) as token axes and (R1, C1) as group axes; grid
+groups have (R1, C1) = (G, G) as token axes and (R2, C2) as group axes.
+to_heads() transposes the view to (B, groups, heads, L, d) in one copy and
+from_heads() inverts it; block()/grid() are the one-head case. Every transform
+is invertible bitwise and differentiable.
+
+For square inputs, grid(x, G) equals transpose(block(x, H/G), (0, 2, 1, 3)):
+cutting into H/G-sized windows and exchanging the "which window" axis with the
 "position inside window" axis yields exactly the dilated grouping.
 """
 
@@ -21,39 +27,79 @@ from . import ops
 from .errors import DimensionError, PartitionError
 from .tensor import Tensor
 
-__all__ = ["block", "unblock", "grid", "ungrid", "partition_indices", "dump_indices"]
+__all__ = [
+    "block", "unblock", "grid", "ungrid", "to_heads", "from_heads",
+    "partition_indices", "dump_indices",
+]
+
+# (B, R1, R2, C1, C2, heads, d) -> (B, group row, group col, heads, token row, token col, d)
+_PERMS = {"block": (0, 1, 3, 5, 2, 4, 6), "grid": (0, 2, 4, 5, 1, 3, 6)}
 
 
-def _check_nhwc(x: Tensor, op: str) -> tuple[int, int, int, int]:
+def _factors(kind: str, height: int, width: int, size: int) -> tuple[int, int, int, int]:
+    """(R1, R2, C1, C2) of the view, after checking that `size` divides the extent."""
+    if kind not in _PERMS:
+        raise PartitionError(f"partition kind must be 'block' or 'grid', got {kind!r}")
+    if size < 1 or height % size or width % size:
+        raise PartitionError(f"{kind}: extent ({height}, {width}) not divisible by size {size}")
+    if kind == "block":
+        return height // size, size, width // size, size
+    return size, height // size, size, width // size
+
+
+def to_heads(x: Tensor, kind: str, size: int, heads: int = 1) -> Tensor:
+    """(B, H, W, C) -> (B, H*W/size^2, heads, size^2, C/heads) in one copy.
+
+    Groups and the tokens inside a group are row-major; head h holds channels
+    [h*d, (h+1)*d). For "block" a group is a size x size window; for "grid" it
+    is the pixels at one offset inside each cell of a size x size lattice.
+    """
     if x.ndim != 4:
-        raise DimensionError(f"{op} expects NHWC rank-4 input, got shape {x.shape}")
-    return x.shape
+        raise DimensionError(f"{kind} expects NHWC rank-4 input, got shape {x.shape}")
+    b, h, w, c = x.shape
+    r1, r2, c1, c2 = _factors(kind, h, w, size)
+    if heads < 1 or c % heads:
+        raise DimensionError(f"{kind}: {c} channels do not split into {heads} heads")
+    y = ops.reshape(x, (b, r1, r2, c1, c2, heads, c // heads))
+    y = ops.transpose(y, _PERMS[kind])
+    return ops.reshape(y, (b, h * w // (size * size), heads, size * size, c // heads))
+
+
+def from_heads(x: Tensor, kind: str, height: int, width: int, size: int) -> Tensor:
+    """Inverse of to_heads(): (B, groups, heads, L, d) -> (B, H, W, heads*d)."""
+    if x.ndim != 5:
+        raise DimensionError(f"un{kind} expects (B, groups, heads, L, d) input, got shape {x.shape}")
+    b, groups, heads, tokens, d = x.shape
+    r1, r2, c1, c2 = _factors(kind, height, width, size)
+    if groups * size * size != height * width or tokens != size * size:
+        raise PartitionError(f"un{kind}: shape {x.shape} is not a {kind} partition of ({height}, {width}) by {size}")
+    perm = _PERMS[kind]
+    y = ops.reshape(x, tuple((b, r1, r2, c1, c2, heads, d)[a] for a in perm))
+    y = ops.transpose(y, tuple(perm.index(a) for a in range(7)))
+    return ops.reshape(y, (b, height, width, heads * d))
+
+
+def _one_head(x: Tensor, kind: str, size: int) -> Tensor:
+    y = to_heads(x, kind, size)
+    b, groups, _, tokens, c = y.shape
+    return ops.reshape(y, (b, groups, tokens, c))
+
+
+def _merge_one_head(x: Tensor, kind: str, height: int, width: int, size: int) -> Tensor:
+    if x.ndim != 4:
+        raise DimensionError(f"un{kind} expects rank-4 input, got shape {x.shape}")
+    b, groups, tokens, c = x.shape
+    return from_heads(ops.reshape(x, (b, groups, 1, tokens, c)), kind, height, width, size)
 
 
 def block(x: Tensor, window: int) -> Tensor:
     """(B, H, W, C) -> (B, H*W/window^2, window^2, C), windows and pixels row-major."""
-    b, h, w, c = _check_nhwc(x, "block")
-    if window < 1 or h % window or w % window:
-        raise PartitionError(f"block: extent ({h}, {w}) not divisible by window {window}")
-    nh, nw = h // window, w // window
-    y = ops.reshape(x, (b, nh, window, nw, window, c))
-    y = ops.swapaxes(y, 2, 3)  # (b, nh, nw, window, window, c)
-    return ops.reshape(y, (b, nh * nw, window * window, c))
+    return _one_head(x, "block", window)
 
 
 def unblock(x: Tensor, height: int, width: int, window: int) -> Tensor:
     """Inverse of block(); needs the original spatial extent back."""
-    if x.ndim != 4:
-        raise DimensionError(f"unblock expects rank-4 input, got shape {x.shape}")
-    b, nwin, tokens, c = x.shape
-    nh, nw = height // window, width // window
-    if window < 1 or height % window or width % window or nwin != nh * nw or tokens != window * window:
-        raise PartitionError(
-            f"unblock: shape {x.shape} is not a block partition of ({height}, {width}) with window {window}"
-        )
-    y = ops.reshape(x, (b, nh, nw, window, window, c))
-    y = ops.swapaxes(y, 2, 3)
-    return ops.reshape(y, (b, height, width, c))
+    return _merge_one_head(x, "block", height, width, window)
 
 
 def grid(x: Tensor, grid_size: int) -> Tensor:
@@ -63,38 +109,12 @@ def grid(x: Tensor, grid_size: int) -> Tensor:
     grid^2 lattice cells (cells are (H/grid) x (W/grid), row-major); tokens
     inside a group are ordered by cell, row-major.
     """
-    b, h, w, c = _check_nhwc(x, "grid")
-    if grid_size < 1 or h % grid_size or w % grid_size:
-        raise PartitionError(f"grid: extent ({h}, {w}) not divisible by grid {grid_size}")
-    ch, cw = h // grid_size, w // grid_size  # lattice cell extent
-    y = ops.reshape(x, (b, grid_size, ch, grid_size, cw, c))
-    y = ops.swapaxes(y, 1, 2)  # (b, ch, grid, grid, cw, c)
-    y = ops.swapaxes(y, 3, 4)  # (b, ch, grid, cw, grid, c)
-    y = ops.swapaxes(y, 2, 3)  # (b, ch, cw, grid, grid, c)
-    return ops.reshape(y, (b, ch * cw, grid_size * grid_size, c))
+    return _one_head(x, "grid", grid_size)
 
 
 def ungrid(x: Tensor, height: int, width: int, grid_size: int) -> Tensor:
     """Inverse of grid(); needs the original spatial extent back."""
-    if x.ndim != 4:
-        raise DimensionError(f"ungrid expects rank-4 input, got shape {x.shape}")
-    b, ngroups, tokens, c = x.shape
-    ch, cw = height // grid_size, width // grid_size
-    if (
-        grid_size < 1
-        or height % grid_size
-        or width % grid_size
-        or ngroups != ch * cw
-        or tokens != grid_size * grid_size
-    ):
-        raise PartitionError(
-            f"ungrid: shape {x.shape} is not a grid partition of ({height}, {width}) with grid {grid_size}"
-        )
-    y = ops.reshape(x, (b, ch, cw, grid_size, grid_size, c))
-    y = ops.swapaxes(y, 2, 3)
-    y = ops.swapaxes(y, 3, 4)
-    y = ops.swapaxes(y, 1, 2)
-    return ops.reshape(y, (b, height, width, c))
+    return _merge_one_head(x, "grid", height, width, grid_size)
 
 
 def partition_indices(kind: str, height: int, width: int, size: int) -> np.ndarray:

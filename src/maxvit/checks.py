@@ -39,7 +39,10 @@ from .counting import count_model
 from .tensor import Tensor
 from .train import train_toy
 
-__all__ = ["CheckReport", "PropertyResult", "SuiteResult", "suite_names", "run_checks"]
+__all__ = [
+    "CheckReport", "PropertyResult", "SuiteResult", "suite_names", "run_checks",
+    "dense_attention_oracle", "check_emd_metric_axioms",
+]
 
 
 # -- result model -------------------------------------------------------------------
@@ -111,29 +114,21 @@ def _random_partition_shapes(rng, size_pool):
     return b, h, w, c, size
 
 
-def _check_block_roundtrip():
-    rng = np.random.default_rng(101)
+def _check_roundtrip(kind, seed):
+    split, merge = getattr(axes, kind), getattr(axes, "un" + kind)
+    rng = np.random.default_rng(seed)
     for _ in range(60):
         b, h, w, c, p = _random_partition_shapes(rng, (2, 3, 7))
         x = Tensor(rng.standard_normal((b, h, w, c)))
-        back = axes.unblock(axes.block(x, p), h, w, p)
-        assert np.array_equal(back.data, x.data), f"block roundtrip broke at {(b, h, w, c, p)}"
-
-
-def _check_grid_roundtrip():
-    rng = np.random.default_rng(102)
-    for _ in range(60):
-        b, h, w, c, g = _random_partition_shapes(rng, (2, 3, 7))
-        x = Tensor(rng.standard_normal((b, h, w, c)))
-        back = axes.ungrid(axes.grid(x, g), h, w, g)
-        assert np.array_equal(back.data, x.data), f"grid roundtrip broke at {(b, h, w, c, g)}"
+        back = merge(split(x, p), h, w, p)
+        assert np.array_equal(back.data, x.data), f"{kind} roundtrip broke at {(b, h, w, c, p)}"
 
 
 def _check_grid_is_transposed_block_on_squares():
     rng = np.random.default_rng(103)
     for n, g in ((8, 2), (12, 3), (14, 7), (28, 7)):
         x = Tensor(rng.standard_normal((2, n, n, 3)))
-        via_block = ops.swapaxes(axes.block(x, n // g), 1, 2)
+        via_block = ops.transpose(axes.block(x, n // g), (0, 2, 1, 3))
         assert np.array_equal(axes.grid(x, g).data, via_block.data), f"equivalence broke at n={n}, g={g}"
 
 
@@ -159,23 +154,27 @@ def _check_partition_rejects_indivisible():
 
 # -- attention suite ----------------------------------------------------------------
 
-def _dense_attention_oracle(tokens, p, index):
-    """Plain-numpy scalar-loop-free reference of multi_head_attention."""
-    b, groups, length, c = tokens.shape
-    heads, d = p.heads, p.head_dim
-    bias = p.bias_table.data[:, index]  # (heads, L, L)
+def dense_attention_oracle(x: np.ndarray, p, index: np.ndarray, kind: str) -> np.ndarray:
+    """Head-by-head loop reference of multi_head_attention on an NHWC array.
 
-    def proj(w):
-        out = tokens.reshape(-1, c) @ w.weight.data
-        if w.bias is not None:
-            out = out + w.bias.data
-        return out.reshape(b, groups, length, heads, d).transpose(0, 1, 3, 2, 4)
-
-    q, k, v = proj(p.wq), proj(p.wk), proj(p.wv)
-    logits = (q / np.sqrt(d)) @ k.transpose(0, 1, 2, 4, 3) + bias
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
-    out = (attn @ v).transpose(0, 1, 3, 2, 4).reshape(b, groups, length, c)
+    Groups come from pixel coordinates, tokens in a group are row-major (as
+    build_bias_index assumes), and heads are contiguous channel slices.
+    """
+    b, h, w, _ = x.shape
+    size, d = p.window, p.head_dim
+    q, k, v = (x @ lin.weight.data for lin in (p.wq, p.wk, p.wv))
+    n, out = np.arange(size), np.zeros_like(x)
+    for gr, gc in np.ndindex(h // size, w // size):
+        if kind == "block":  # the size x size window at (gr, gc)
+            rows, cols = gr * size + n, gc * size + n
+        else:  # offset (gr, gc) inside each cell of the size x size lattice
+            rows, cols = n * (h // size) + gr, n * (w // size) + gc
+        r, cc = np.repeat(rows, size), np.tile(cols, size)
+        for bi, hi in np.ndindex(b, p.heads):
+            sl = slice(hi * d, (hi + 1) * d)
+            logits = (q[bi, r, cc, sl] / np.sqrt(d)) @ k[bi, r, cc, sl].T + p.bias_table.data[hi][index]
+            e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            out[bi, r, cc, sl] = (e / e.sum(axis=-1, keepdims=True)) @ v[bi, r, cc, sl]
     return out @ p.wo.weight.data + p.wo.bias.data
 
 
@@ -184,11 +183,11 @@ def _check_attention_matches_dense_oracle():
     p = init_attention(rng, channels=8, window=2, head_dim=4, dtype=np.float64)
     p.bias_table = Tensor(rng.standard_normal(p.bias_table.shape))
     index = build_bias_index(2)
-    tokens = Tensor(rng.standard_normal((2, 3, 4, 8)))
-    got = multi_head_attention(tokens, p, index).data
-    want = _dense_attention_oracle(tokens.data, p, index)
-    err = np.abs(got - want).max()
-    assert err < 1e-10, f"attention deviates from dense oracle by {err:.3e}"
+    x = Tensor(rng.standard_normal((2, 2, 6, 8)))  # 3 groups of each kind
+    for kind in ("block", "grid"):
+        got = multi_head_attention(x, p, index, kind).data
+        err = np.abs(got - dense_attention_oracle(x.data, p, index, kind)).max()
+        assert err < 1e-10, f"{kind} attention deviates from dense oracle by {err:.3e}"
 
 
 def _check_bias_index_involution():
@@ -309,18 +308,21 @@ def _check_emd_hand_case():
     assert abs(got - np.sqrt(0.5)) < 1e-9, f"hand case gave {got!r}"
 
 
-def _check_emd_metric_axioms():
-    rng = np.random.default_rng(107)
+def check_emd_metric_axioms(seed: int, triples: int) -> None:
+    """Symmetry, non-negativity and the triangle inequality of emd_loss on
+    `triples` random triples of 10-bin distributions, then a zero self-distance."""
+    rng = np.random.default_rng(seed)
 
     def simplex():
         v = rng.random(10) + 1e-9
         return Tensor(v / v.sum())
 
-    for _ in range(200):
+    for _ in range(triples):
         p, q, s = simplex(), simplex(), simplex()
         dpq = ops.emd_loss(p, q).item()
-        assert abs(dpq - ops.emd_loss(q, p).item()) < 1e-12, "symmetry violated"
-        assert dpq >= 0.0
+        dqp = ops.emd_loss(q, p).item()
+        assert abs(dpq - dqp) < 1e-12, f"symmetry violated: {dpq} vs {dqp}"
+        assert dpq >= 0.0, f"negative distance {dpq}"
         tri = ops.emd_loss(p, s).item() + ops.emd_loss(s, q).item()
         assert dpq <= tri + 1e-12, f"triangle inequality violated: {dpq} > {tri}"
     p = simplex()
@@ -393,8 +395,8 @@ def _check_train_smoke():
 def _static_suites() -> dict[str, list[tuple[str, Callable[[], None]]]]:
     return {
         "partition": [
-            ("block_roundtrip_random", _check_block_roundtrip),
-            ("grid_roundtrip_random", _check_grid_roundtrip),
+            ("block_roundtrip_random", lambda: _check_roundtrip("block", 101)),
+            ("grid_roundtrip_random", lambda: _check_roundtrip("grid", 102)),
             ("grid_is_transposed_block_on_squares", _check_grid_is_transposed_block_on_squares),
             ("index_tables_4x4", _check_partition_index_tables),
             ("rejects_indivisible_extents", _check_partition_rejects_indivisible),
@@ -413,7 +415,7 @@ def _static_suites() -> dict[str, list[tuple[str, Callable[[], None]]]]:
         ],
         "losses": [
             ("emd_hand_case", _check_emd_hand_case),
-            ("emd_metric_axioms", _check_emd_metric_axioms),
+            ("emd_metric_axioms", lambda: check_emd_metric_axioms(seed=107, triples=200)),
             ("cross_entropy_oracle", _check_cross_entropy_oracle),
         ],
         "serialization": [

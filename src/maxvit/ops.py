@@ -22,8 +22,8 @@ from .tape import record
 from .tensor import Tensor, debug_checks_enabled
 
 __all__ = [
-    "add", "sub", "mul", "scale", "shift", "matmul", "reshape", "swapaxes",
-    "reduce_sum", "reduce_mean", "gelu", "silu", "sigmoid", "relu",
+    "add", "sub", "mul", "scale", "shift", "matmul", "reshape", "transpose",
+    "reduce_sum", "reduce_mean", "gelu", "silu", "sigmoid",
     "softmax_lastdim", "layer_norm", "batch_norm_train", "batch_norm_inference",
     "conv2d", "depthwise_conv2d", "avg_pool2d", "gather_rows",
     "softmax_cross_entropy", "emd_loss",
@@ -153,13 +153,14 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return out
 
 
-def swapaxes(x: Tensor, axis_a: int, axis_b: int) -> Tensor:
-    n = x.ndim
-    ia, ib = axis_a % n if -n <= axis_a < n else axis_a, axis_b % n if -n <= axis_b < n else axis_b
-    if not (0 <= ia < n and 0 <= ib < n):
-        raise DimensionError(f"swapaxes: axes ({axis_a}, {axis_b}) out of range for rank {n}")
-    out = Tensor(np.ascontiguousarray(np.swapaxes(x.data, ia, ib)))
-    record(out, (x,), lambda g: (np.ascontiguousarray(np.swapaxes(g, ia, ib)),))
+def transpose(x: Tensor, perm: tuple[int, ...]) -> Tensor:
+    """Axis i of the result is axis perm[i] of x, as one contiguous copy."""
+    perm = tuple(perm)
+    if not all(isinstance(a, (int, np.integer)) for a in perm) or sorted(perm) != list(range(x.ndim)):
+        raise DimensionError(f"transpose: {perm} is not a permutation of the axes of rank-{x.ndim} input")
+    inverse = tuple(int(a) for a in np.argsort(perm))
+    out = Tensor(np.ascontiguousarray(x.data.transpose(perm)))
+    record(out, (x,), lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
     return out
 
 
@@ -316,12 +317,6 @@ def sigmoid_raw(a: np.ndarray) -> np.ndarray:
     e = np.exp(a[~pos])
     y[~pos] = e / (1.0 + e)
     return y
-
-
-def relu(x: Tensor) -> Tensor:
-    out = _out(np.maximum(x.data, 0), "relu")
-    record(out, (x,), lambda g: (g * (x.data > 0),))
-    return out
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:

@@ -10,7 +10,7 @@ import numpy as np
 
 from maxvit import axes, ops
 from maxvit.attention import build_bias_index, init_attention, multi_head_attention
-from maxvit.checks import _check_miniature_end_to_end_gradients
+from maxvit.checks import _check_miniature_end_to_end_gradients, check_emd_metric_axioms, dense_attention_oracle
 from maxvit.counting import count_model
 from maxvit.gradcheck import GRAD_TOL, grad_check, primitive_cases
 from maxvit.golden import (
@@ -85,34 +85,17 @@ def test_criterion_03_partition_roundtrips():
     for n, g in ((8, 2), (14, 7), (28, 7), (12, 3)):
         x = Tensor(rng.standard_normal((2, n, n, 3)))
         ok &= np.array_equal(
-            axes.grid(x, g).data, ops.swapaxes(axes.block(x, n // g), 1, 2).data
+            axes.grid(x, g).data, ops.transpose(axes.block(x, n // g), (0, 2, 1, 3)).data
         )
 
     block_expect = [[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]]
     grid_expect = [[0, 2, 8, 10], [1, 3, 9, 11], [4, 6, 12, 14], [5, 7, 13, 15]]
     ok &= axes.partition_indices("block", 4, 4, 2).tolist() == block_expect
     ok &= axes.partition_indices("grid", 4, 4, 2).tolist() == grid_expect
-    report(3, ok, "1000 partition roundtrips bitwise, grid==swapaxes(block), 4x4 tables")
+    report(3, ok, "1000 partition roundtrips bitwise, grid==transpose(block), 4x4 tables")
 
 
 # -- 4: attention oracle -----------------------------------------------------------------
-
-def _dense_reference(tokens, p, index):
-    """Full attention over all tokens, computed with plain numpy loops per head."""
-    b, length, c = tokens.shape
-    heads, d = p.heads, p.head_dim
-    out = np.zeros_like(tokens)
-    for bi in range(b):
-        for h in range(heads):
-            sl = slice(h * d, (h + 1) * d)
-            q = tokens[bi] @ p.wq.weight.data[:, sl]
-            k = tokens[bi] @ p.wk.weight.data[:, sl]
-            v = tokens[bi] @ p.wv.weight.data[:, sl]
-            logits = (q / np.sqrt(d)) @ k.T + p.bias_table.data[h][index]
-            e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-            out[bi, :, sl] = (e / e.sum(axis=-1, keepdims=True)) @ v
-    return out @ p.wo.weight.data + p.wo.bias.data
-
 
 def test_criterion_04_attention_oracle():
     rng = np.random.default_rng(77)
@@ -121,9 +104,8 @@ def test_criterion_04_attention_oracle():
     index = build_bias_index(7)
     x = Tensor(rng.standard_normal((2, 7, 7, 64)))
 
-    windows = axes.block(x, 7)                      # (2, 1, 49, 64): one window
-    got = axes.unblock(multi_head_attention(windows, p, index), 7, 7, 7).data
-    want = _dense_reference(x.data.reshape(2, 49, 64), p, index).reshape(2, 7, 7, 64)
+    got = multi_head_attention(x, p, index, "block").data  # one 7x7 window per image
+    want = dense_attention_oracle(x.data, p, index, "block")
     err = np.abs(got - want).max()
 
     s = ops.softmax_lastdim(Tensor(rng.standard_normal((5, 9, 13)) * 4)).data
@@ -214,20 +196,10 @@ def test_criterion_09_emd_metric():
     hand = ops.emd_loss(Tensor(np.array([1.0, 0.0])), Tensor(np.array([0.0, 1.0])), r=2.0).item()
     ok = abs(hand - np.sqrt(0.5)) < 1e-9
 
-    rng = np.random.default_rng(99)
-
-    def simplex():
-        v = rng.random(10) + 1e-9
-        return Tensor(v / v.sum())
-
-    for _ in range(1000):
-        p, q, s = simplex(), simplex(), simplex()
-        dpq = ops.emd_loss(p, q).item()
-        ok &= abs(dpq - ops.emd_loss(q, p).item()) < 1e-12
-        ok &= dpq >= 0.0
-        ok &= dpq <= ops.emd_loss(p, s).item() + ops.emd_loss(s, q).item() + 1e-12
-    p = simplex()
-    ok &= ops.emd_loss(p, Tensor(p.data.copy())).item() == 0.0
+    try:
+        check_emd_metric_axioms(seed=99, triples=1000)
+    except AssertionError:
+        ok = False
     report(9, ok, f"EMD hand case sqrt(1/2) within 1e-9 ({hand:.12f}), metric axioms on 1000 triples")
 
 

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from maxvit import ops
+from maxvit import checks, ops
 from maxvit.attention import (
-    AttentionParams,
     attention_layer,
     build_bias_index,
     init_attention,
@@ -14,7 +13,7 @@ from maxvit.attention import (
     multi_head_attention,
     rel_attention,
 )
-from maxvit.errors import ConfigError, DimensionError
+from maxvit.errors import ConfigError, DimensionError, PartitionError
 from maxvit.tensor import Tensor
 
 
@@ -105,38 +104,24 @@ def test_rel_attention_shape_mismatch():
 
 # -- multi-head over windows ---------------------------------------------------------
 
-def multi_head_oracle(tokens, p: AttentionParams, index):
-    """Head-by-head dense attention; heads are contiguous channel slices."""
-    b, g, length, c = tokens.shape
-    heads, d = p.heads, p.head_dim
-    q = tokens @ p.wq.weight.data
-    k = tokens @ p.wk.weight.data
-    v = tokens @ p.wv.weight.data
-    out = np.zeros_like(tokens)
-    for bi in range(b):
-        for gi in range(g):
-            for h in range(heads):
-                sl = slice(h * d, (h + 1) * d)
-                bias = p.bias_table.data[h][index]
-                out[bi, gi, :, sl] = dense_attention_oracle(q[bi, gi, :, sl], k[bi, gi, :, sl], v[bi, gi, :, sl], bias)
-    return out @ p.wo.weight.data + p.wo.bias.data
-
-
 def test_multi_head_attention_matches_oracle():
     rng = np.random.default_rng(2)
     p = init_attention(rng, channels=8, window=2, head_dim=4, dtype=np.float64)
     p.bias_table = _t(rng.standard_normal(p.bias_table.shape))  # non-trivial bias
     index = build_bias_index(2)
-    tokens = rng.standard_normal((2, 3, 4, 8))
-    got = multi_head_attention(_t(tokens), p, index)
-    np.testing.assert_allclose(got.data, multi_head_oracle(tokens, p, index), rtol=1e-10, atol=1e-12)
+    x = rng.standard_normal((2, 2, 6, 8))  # 3 groups of each kind
+    for kind in ("block", "grid"):
+        got = multi_head_attention(_t(x), p, index, kind)
+        np.testing.assert_allclose(got.data, checks.dense_attention_oracle(x, p, index, kind), rtol=1e-10, atol=1e-12)
 
 
 def test_multi_head_rejects_wrong_token_count():
     rng = np.random.default_rng(3)
     p = init_attention(rng, channels=8, window=2, head_dim=4)
-    with pytest.raises(DimensionError):
-        multi_head_attention(Tensor(np.zeros((1, 1, 5, 8), dtype=np.float32)), p, build_bias_index(2))
+    with pytest.raises(PartitionError):  # 5 rows do not divide into size-2 groups
+        multi_head_attention(Tensor(np.zeros((1, 5, 4, 8), dtype=np.float32)), p, build_bias_index(2), "grid")
+    with pytest.raises(DimensionError):  # token form is not an NHWC map
+        multi_head_attention(Tensor(np.zeros((1, 4, 8), dtype=np.float32)), p, build_bias_index(2), "block")
 
 
 def test_init_attention_rejects_indivisible_heads():

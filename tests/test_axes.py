@@ -1,7 +1,7 @@
 """Partition transforms: golden index tables, roundtrips, and the swap-axes equivalence.
 
 The oracles enumerate window/group membership by arithmetic on (row, col)
-coordinates, independent of the reshape/swapaxes implementation under test.
+coordinates, independent of the reshape/transpose implementation under test.
 """
 
 import json
@@ -95,7 +95,7 @@ def test_roundtrip_rectangular():
 def test_grid_equals_swapped_block_on_square_inputs():
     for h, g in [(4, 2), (14, 7), (12, 2), (12, 3), (16, 4)]:
         x = _image(2, h, h, 3, seed=h * 10 + g)
-        via_block = ops.swapaxes(block(x, h // g), -2, -3)
+        via_block = ops.transpose(block(x, h // g), (0, 2, 1, 3))
         assert np.array_equal(grid(x, g).data, via_block.data)
 
 

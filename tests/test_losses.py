@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from maxvit import ops
+from maxvit.checks import check_emd_metric_axioms
 from maxvit.errors import DataError, DimensionError
 from maxvit.gradcheck import GRAD_TOL, grad_check
 from maxvit.tensor import Tensor
@@ -105,18 +106,7 @@ def _simplex(rng, n=10):
 
 
 def test_emd_metric_axioms_random_triples():
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        p, q, s = _simplex(rng), _simplex(rng), _simplex(rng)
-        dpq = ops.emd_loss(_t(p), _t(q)).item()
-        dqp = ops.emd_loss(_t(q), _t(p)).item()
-        dps = ops.emd_loss(_t(p), _t(s)).item()
-        dsq = ops.emd_loss(_t(s), _t(q)).item()
-        assert dpq == pytest.approx(dqp, rel=1e-12)          # symmetry
-        assert dpq >= 0.0
-        assert dpq <= dps + dsq + 1e-12                      # triangle
-    p = _simplex(rng)
-    assert ops.emd_loss(_t(p), _t(p.copy())).item() == 0.0   # identity
+    check_emd_metric_axioms(seed=4, triples=200)
 
 
 def test_emd_positive_on_distinct_distributions():

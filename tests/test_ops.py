@@ -140,6 +140,30 @@ def test_reduction_axes_out_of_range_rejected(op, axes):
         op(_t64(np.ones((2, 3))), axes=axes)
 
 
+# -- transpose ---------------------------------------------------------------------
+
+def test_transpose_forward_and_inverse_permutation_backward():
+    rng = np.random.default_rng(11)
+    x = _t64(rng.standard_normal((2, 3, 4, 5)))
+    c = rng.standard_normal((4, 2, 5, 3))  # cotangent in the output layout
+    with GradTape() as tape:
+        y = ops.transpose(x, (2, 0, 3, 1))
+        loss = ops.reduce_sum(ops.mul(y, _t64(c)))
+    (g,) = tape.gradient(loss, [x])
+    assert y.data.flags.c_contiguous
+    for i, j, k, l in np.ndindex(2, 3, 4, 5):
+        assert y.data[k, i, l, j] == x.data[i, j, k, l] and g.data[i, j, k, l] == c[k, i, l, j]
+
+
+@pytest.mark.parametrize(
+    "perm", [(0, 1), (0, 1, 2, 3), (0, 1, 1), (0, 1, 3), (-1, 0, 1), (0, 1.0, 2), ("0", 1, 2)],
+    ids=["short", "long", "repeated", "out-of-range", "negative", "float", "str"],
+)
+def test_transpose_rejects_non_permutation(perm):
+    with pytest.raises(DimensionError):
+        ops.transpose(_t64(np.ones((2, 3, 4))), perm)
+
+
 def test_gelu_matches_scalar_definition():
     import math
 
