@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ConfigError, DataError, DimensionError, NumericError, PartitionError
-from .tape import record
+from .tape import active_tape, record
 from .tensor import Tensor, debug_checks_enabled
 
 __all__ = [
@@ -231,20 +231,23 @@ def _horner(coeffs, t: np.ndarray, acc: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _gelu_f32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gelu_f32(x: np.ndarray, keep_cdf: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """(x * Phi(x), Phi(x)) for f32 `x`, with the rational erf, one block at a time.
 
     Each block's intermediates stay in cache; |error| <= 5e-7 * max(1, |x|)
     against the exact-erf GELU (checked by `checks.gelu_f32_matches_exact`).
+    Without `keep_cdf`, Phi lives in one block of scratch and None is returned
+    for it; the output is the same bits either way.
     """
     flat = x.reshape(-1)
     out = np.empty_like(flat)
-    cdf = np.empty_like(flat)
-    z, t, q = (np.empty(min(flat.size, _GELU_BLOCK), np.float32) for _ in range(3))
+    block = min(flat.size, _GELU_BLOCK)
+    cdf = np.empty_like(flat) if keep_cdf else np.empty(block, np.float32)
+    z, t, q = (np.empty(block, np.float32) for _ in range(3))
     for lo in range(0, flat.size, _GELU_BLOCK):
         xb = flat[lo:lo + _GELU_BLOCK]
         n = xb.size
-        zb, tb, qb, cb = z[:n], t[:n], q[:n], cdf[lo:lo + n]
+        zb, tb, qb, cb = z[:n], t[:n], q[:n], cdf[lo:lo + n] if keep_cdf else cdf[:n]
         np.multiply(xb, np.float32(_INV_SQRT2), out=zb)
         np.clip(zb, np.float32(-4.0), np.float32(4.0), out=zb)
         np.square(zb, out=tb)
@@ -254,17 +257,17 @@ def _gelu_f32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cb *= np.float32(0.5)
         cb += np.float32(0.5)
         np.multiply(xb, cb, out=out[lo:lo + n])
-    return out.reshape(x.shape), cdf.reshape(x.shape)
+    return out.reshape(x.shape), cdf.reshape(x.shape) if keep_cdf else None
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf form: x * Phi(x), with Phi the standard normal CDF.
 
     f32 evaluates erf with a rational approximation (`_gelu_f32`); f64 uses
-    scipy's exact erf.
+    scipy's exact erf. With no tape active, f32 keeps no full-size Phi.
     """
     if x.dtype == np.float32:
-        y, cdf = _gelu_f32(x.data)
+        y, cdf = _gelu_f32(x.data, keep_cdf=active_tape() is not None)
     else:
         cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
         y = x.data * cdf
@@ -337,18 +340,30 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 # -- normalization ---------------------------------------------------------------
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then per-feature affine."""
+    """Normalize over the last axis, then per-feature affine.
+
+    The forward centres one copy of x, takes the variance from it (the same
+    bits as `x.var`) and scales and shifts it in place into the output. The
+    backward keeps x and the per-row mean and 1/std, and rebuilds xhat from
+    them with the forward's ops, so its gradients are the same bits as with
+    a stored xhat.
+    """
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError(f"layer_norm: affines {gamma.shape}/{beta.shape} do not match feature dim {c}")
     _same_dtype("layer_norm", x, gamma, beta)
     mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    y = x.data - mean  # the one owned copy: centred here, scaled and shifted in place below
+    var = np.square(y).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
-    out = _out(xhat * gamma.data + beta.data, "layer_norm")
+    y *= inv
+    y *= gamma.data
+    y += beta.data
+    out = _out(y, "layer_norm")
 
     def backward(g):
+        xhat = x.data - mean
+        xhat *= inv
         gx = g * gamma.data
         m1 = gx.mean(axis=-1, keepdims=True)
         m2 = (gx * xhat).mean(axis=-1, keepdims=True)
@@ -392,22 +407,28 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
 
     Returns (out, batch_mean, batch_var) where the stats are plain arrays
     (biased 1/n variance) for the caller's running-average update.
+
+    The backward keeps x and the per-channel mean and 1/std, not xhat: it
+    rebuilds xhat with the forward's ops in the forward's order, so its
+    gradients are the same bits as with a stored xhat.
     """
     _check_channel_params("batch_norm_train", x, gamma=gamma, beta=beta)
     n = x.shape[0] * x.shape[1] * x.shape[2]
     mean = _channel_sum(x.data) / n
-    xhat = x.data - mean  # the one owned copy: centred here, scaled in place below
-    var = _channel_sum(xhat, xhat) / n  # two-pass, as np.var
+    y = x.data - mean  # the one owned copy: centred here, scaled and shifted in place below
+    var = _channel_sum(y, y) / n  # two-pass, as np.var
     inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    y = xhat * gamma.data
+    y *= inv
+    y *= gamma.data
     y += beta.data
     out = _out(y, "batch_norm_train")
 
     def backward(g):
         # dx = k * (g - sum(g)/n - xhat * sum(g * xhat)/n), k = gamma * inv; the two sums are dbeta and dgamma
-        sg, sgx = _channel_sum(g), _channel_sum(g, xhat)
-        dx = xhat * (-sgx / n)
+        dx = x.data - mean  # xhat, rebuilt; dx is then formed in place on it
+        dx *= inv
+        sg, sgx = _channel_sum(g), _channel_sum(g, dx)
+        dx *= -sgx / n
         dx += g
         dx -= sg / n
         dx *= gamma.data * inv
@@ -500,7 +521,8 @@ def _tap_conv(x: np.ndarray, kh: int, kw: int, stride: int, taps, fold_phases: b
     (a, b, phase, w) reads rows at offset a*wq + b of its phase. With
     `fold_phases` the phases are folded into channels (space-to-depth) and
     every tap's phase is 0. Output rows are computed at the plane's width,
-    then cropped.
+    then cropped. The plane is a padded copy of x, so the forward drops it
+    after the walk and the backward, which keeps x, builds it again.
     Returns (y, backward), backward(g) -> (gx, [gw per tap]).
     """
     bsz, h, wid, c = x.shape
@@ -521,17 +543,21 @@ def _tap_conv(x: np.ndarray, kh: int, kw: int, stride: int, taps, fold_phases: b
         return a.transpose(3, 4, 0, 1, 2, 5) if fold_phases else a
 
     shape = (bsz, hq, wq, s, s, c) if fold_phases else (s, s, bsz, hq, wq, c)
-    plane = np.zeros(shape, x.dtype)
-    for xi, qi in phases:
-        phase_view(plane)[qi] = x[xi]
-    plane = plane.reshape((1, rows, s * s * c) if fold_phases else (s * s, rows, c))
+
+    def build_plane() -> np.ndarray:
+        plane = np.zeros(shape, x.dtype)
+        for xi, qi in phases:
+            phase_view(plane)[qi] = x[xi]
+        return plane.reshape((1, rows, s * s * c) if fold_phases else (s * s, rows, c))
+
     flat_taps = [(a * wq + b, p, w) for a, b, p, w in taps]
     reach = max(off for off, _, _ in flat_taps)
     y = np.empty((rows, cout), x.dtype)
-    _shifted_taps(plane, flat_taps, y[:rows - reach])  # the rows past it are all cropped
+    _shifted_taps(build_plane(), flat_taps, y[:rows - reach])  # the rows past it are all cropped
     y = y.reshape(bsz, hq, wq, cout)[:, :hout, :wout]
 
     def backward(g):
+        plane = build_plane()
         # g at the plane's width, behind `reach` zero rows: the data gradient is
         # then the same walk over g, with each tap's offset mirrored.
         gpad = np.zeros((1, reach + rows, cout), g.dtype)

@@ -3,6 +3,9 @@
 Each primitive op appends one entry while a tape is active: the output tensor,
 its input tensors, and a backward callable mapping the output cotangent to one
 cotangent per input (or None for inputs the op does not differentiate).
+A backward rule keeps its inputs and per-channel statistics; an intermediate
+that one pass over those can rebuild (a norm's xhat, a conv's padded input)
+is rebuilt in the backward rather than kept.
 `gradient` replays the tape in reverse, accumulating cotangents by tensor
 identity. Parameters that do not influence the loss get exact-zero gradients.
 

@@ -156,6 +156,60 @@ def test_outer_tape_survives_inner_sweep():
     np.testing.assert_allclose(swept[0].data, 6 * w**5 + 2 * w, rtol=1e-14)
 
 
+def _captured_arrays(fn) -> list[np.ndarray]:
+    """Every ndarray a backward closure holds, through nested functions, containers and Tensors."""
+    found, seen, stack = [], set(), [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            stack.append(obj.data)
+        elif isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif callable(obj):
+            for cell in getattr(obj, "__closure__", None) or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # empty cell
+                    pass
+    return found
+
+
+def _buffer(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+_RETENTION_CASES = {
+    "batch_norm_train": lambda x, r: ops.batch_norm_train(x, *(Tensor(r.standard_normal(4)) for _ in "gb"))[0],
+    "layer_norm": lambda x, r: ops.layer_norm(x, *(Tensor(r.standard_normal(4)) for _ in "gb")),
+    "conv2d-3x3-s1": lambda x, r: ops.conv2d(x, Tensor(r.standard_normal((3, 3, 4, 4))), Tensor(r.standard_normal(4))),
+    "conv2d-3x3-s2": lambda x, r: ops.conv2d(x, Tensor(r.standard_normal((3, 3, 4, 4))), stride=2),
+    "depthwise-3x3-s1": lambda x, r: ops.depthwise_conv2d(x, Tensor(r.standard_normal((3, 3, 4)))),
+    "depthwise-3x3-s2": lambda x, r: ops.depthwise_conv2d(x, Tensor(r.standard_normal((3, 3, 4))), stride=2),
+}
+
+
+@pytest.mark.parametrize("name", list(_RETENTION_CASES))
+def test_backward_keeps_no_input_sized_array_but_the_input(name):
+    """A backward rule keeps its input and small statistics; xhat and padded planes are rebuilt."""
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.standard_normal((2, 8, 8, 4)))
+    with GradTape() as tape:
+        _RETENTION_CASES[name](x, rng)
+    (entry,) = tape._entries
+    held = _captured_arrays(entry.backward)
+    own = _buffer(x.data)
+    extra = [a.shape for a in held if a.nbytes >= x.data.nbytes and _buffer(a) is not own]
+    assert not extra, f"{name} backward keeps input-sized arrays {extra}"
+    assert any(_buffer(a) is own for a in held), "the walk never reached the input"
+
+
 def test_grad_check_rejects_nonfinite_function():
     def exploder(x):
         out = Tensor(np.asarray(np.inf))

@@ -200,7 +200,8 @@ _GELU_IDS = ["0d", "empty", "empty-3d", "block-1", "block", "block+1", "2x3x(blo
 )
 def test_gelu_f32_dtype_shape_and_values(shape, dtype):
     """Both dtypes at the block edges: values within the f32 bound of the exact form
-    (f64 is the exact form), and a gradient bitwise equal to the unblocked formula."""
+    (f64 is the exact form), the same bits without a tape (where f32 keeps Phi in one
+    block of scratch), and a gradient bitwise equal to the unblocked formula."""
     rng = np.random.default_rng(12)
     x = Tensor(np.asarray(rng.standard_normal(shape) * 4, dtype))
     w = Tensor(np.asarray(rng.standard_normal(shape), dtype))
@@ -210,6 +211,7 @@ def test_gelu_f32_dtype_shape_and_values(shape, dtype):
     (g,) = tape.gradient(loss, [x])
     assert y.dtype == g.dtype == dtype
     assert y.shape == g.shape == shape
+    assert np.array_equal(ops.gelu(x).data, y.data)
     x64 = x.data.astype(np.float64)
     exact = ops.gelu(Tensor(x64)).data
     assert (np.abs(y.data - exact) <= GELU_F32_BOUND * np.maximum(1.0, np.abs(x64))).all()
@@ -260,6 +262,60 @@ def test_layer_norm_rejects_mixed_dtype_affines(which):
     affines[which] = Tensor(affines[which].data.astype(np.float64))
     with pytest.raises(DataError):
         ops.layer_norm(x, **affines)
+
+
+def _layer_norm_stored_xhat(x, gamma, beta, g, eps=1e-5):
+    """Layer norm with a stored xhat: (out, dx, dgamma, dbeta) for cotangent g."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv
+    gx = g * gamma
+    m1 = gx.mean(axis=-1, keepdims=True)
+    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    dx = (gx - m1 - xhat * m2) * inv
+    red = tuple(range(g.ndim - 1))
+    return xhat * gamma + beta, dx, (g * xhat).sum(axis=red), g.sum(axis=red)
+
+
+def _batch_norm_stored_xhat(x, gamma, beta, g, eps=1e-5):
+    """Batch norm with a stored xhat: (out, dx, dgamma, dbeta) for cotangent g."""
+    n = x.shape[0] * x.shape[1] * x.shape[2]
+    mean = np.einsum("abcz->z", x) / n
+    xhat = x - mean
+    var = np.einsum("abcz,abcz->z", xhat, xhat) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    y = xhat * gamma
+    y += beta
+    sg, sgx = np.einsum("abcz->z", g), np.einsum("abcz,abcz->z", g, xhat)
+    dx = xhat * (-sgx / n)
+    dx += g
+    dx -= sg / n
+    dx *= gamma * inv
+    return y, dx, sgx, sg
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("c", [16, 64])
+@pytest.mark.parametrize("op", ["layer_norm", "batch_norm_train"])
+def test_norm_rebuilt_xhat_is_the_same_bits_as_stored(op, c, dtype):
+    """The backward rebuilds xhat from x and the stats; output and gradients match a stored xhat bitwise."""
+    rng = np.random.default_rng(c)
+    shape = (4, 6, 6, c) if op == "batch_norm_train" else (2, 5, 7, c)
+    arrays = (rng.standard_normal(shape) * 3.0 + 1.0, rng.standard_normal(c) + 1.0, rng.standard_normal(c),
+              rng.standard_normal(shape))
+    x, gamma, beta, w = (Tensor(a.astype(dtype)) for a in arrays)
+    with GradTape() as tape:
+        y = getattr(ops, op)(x, gamma, beta)
+        y = y[0] if op == "batch_norm_train" else y
+        loss = ops.reduce_sum(ops.mul(y, w))  # y's cotangent is exactly w
+    got = [y.data] + [t.data for t in tape.gradient(loss, [x, gamma, beta])]
+    reference = _batch_norm_stored_xhat if op == "batch_norm_train" else _layer_norm_stored_xhat
+    want = reference(x.data, gamma.data, beta.data, w.data)
+    for name, a, b in zip(("out", "dx", "dgamma", "dbeta"), got, want):
+        assert a.dtype == b.dtype == dtype, name
+        assert np.array_equal(a, b), name
 
 
 def _batch_norm_train_reference(x, gamma, beta, g, eps=1e-5):
