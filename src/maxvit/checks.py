@@ -1,10 +1,13 @@
 """Runnable self-verification suites backing the `check` command.
 
 Each suite is a named list of properties; a property either returns (pass) or
-raises (fail, with the exception text as the detail). Partition properties
-deliberately call through the `axes` module object so that a fault injected
-there (e.g. monkeypatching an off-by-one `grid`) is caught by the roundtrip
-checks rather than bypassed through stale local bindings.
+raises (fail, with the exception text as the detail). The public `check_*`
+functions are the one implementation of each property: the registry below,
+the acceptance gate and the unit tests call them with their own seeds, case
+counts and size pools. Partition checks deliberately call through the `axes`
+module object so that a fault injected there (e.g. monkeypatching an
+off-by-one `grid`) is caught by the roundtrip checks rather than bypassed
+through stale local bindings.
 """
 
 from __future__ import annotations
@@ -35,13 +38,16 @@ from .model import (
     save_model,
     validate_geometry,
 )
-from .counting import count_model
+from .counting import LayerCount, ModelCount, count_model
 from .tensor import Tensor
 from .train import train_toy
 
 __all__ = [
     "CheckReport", "PropertyResult", "SuiteResult", "suite_names", "run_checks",
-    "dense_attention_oracle", "check_emd_metric_axioms",
+    "INDEX_TABLES_4X4", "check_partition_roundtrips", "check_grid_is_transposed_block",
+    "check_partition_index_tables", "dense_attention_oracle", "check_golden_params", "check_golden_macs",
+    "attention_records", "check_attention_macs_quadruple", "check_block_grid_parity",
+    "check_emd_hand_case", "check_emd_metric_axioms", "check_cross_entropy_oracle",
 ]
 
 
@@ -105,41 +111,48 @@ class CheckReport:
 
 # -- partition suite ----------------------------------------------------------------
 
-def _random_partition_shapes(rng, size_pool):
-    b = int(rng.integers(1, 3))
-    size = int(rng.choice(size_pool))
-    h = size * int(rng.integers(1, 5))
-    w = size * int(rng.integers(1, 5))
-    c = int(rng.integers(1, 5))
-    return b, h, w, c, size
+# 4x4 image, size-2 windows: block gathers contiguous patches, grid strides
+INDEX_TABLES_4X4 = {
+    "block": [[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]],
+    "grid": [[0, 2, 8, 10], [1, 3, 9, 11], [4, 6, 12, 14], [5, 7, 13, 15]],
+}
 
 
-def _check_roundtrip(kind, seed):
-    split, merge = getattr(axes, kind), getattr(axes, "un" + kind)
+def check_partition_roundtrips(
+    seed: int, cases: int, sizes, kinds=("block", "grid"), dtype=np.float64
+) -> list[tuple[str, tuple[int, ...], int]]:
+    """`cases` random NHWC maps, case i partitioned by kinds[i % len(kinds)]
+    with a size from `sizes` dividing both extents, then merged back; each must
+    return bitwise. Returns the (kind, shape, size) of every case."""
     rng = np.random.default_rng(seed)
-    for _ in range(60):
-        b, h, w, c, p = _random_partition_shapes(rng, (2, 3, 7))
-        x = Tensor(rng.standard_normal((b, h, w, c)))
-        back = merge(split(x, p), h, w, p)
-        assert np.array_equal(back.data, x.data), f"{kind} roundtrip broke at {(b, h, w, c, p)}"
+    seen = []
+    for case in range(cases):
+        kind = kinds[case % len(kinds)]
+        size = int(rng.choice(sizes))
+        b, c = int(rng.integers(1, 3)), int(rng.integers(1, 5))
+        h, w = size * int(rng.integers(1, 5)), size * int(rng.integers(1, 5))
+        x = Tensor(rng.standard_normal((b, h, w, c)).astype(dtype))
+        back = getattr(axes, "un" + kind)(getattr(axes, kind)(x, size), h, w, size)
+        assert np.array_equal(back.data, x.data), f"{kind} round trip broke at {(b, h, w, c)}, size {size}"
+        seen.append((kind, x.shape, size))
+    return seen
 
 
-def _check_grid_is_transposed_block_on_squares():
-    rng = np.random.default_rng(103)
-    for n, g in ((8, 2), (12, 3), (14, 7), (28, 7)):
+def check_grid_is_transposed_block(seed: int, pairs) -> None:
+    """grid(x, g) == transpose(block(x, n // g), (0, 2, 1, 3)) bitwise on
+    random (2, n, n, 3) maps, for each (n, g) in `pairs`."""
+    rng = np.random.default_rng(seed)
+    for n, g in pairs:
         x = Tensor(rng.standard_normal((2, n, n, 3)))
         via_block = ops.transpose(axes.block(x, n // g), (0, 2, 1, 3))
         assert np.array_equal(axes.grid(x, g).data, via_block.data), f"equivalence broke at n={n}, g={g}"
 
 
-def _check_partition_index_tables():
-    # 4x4 image, size-2 windows: block gathers contiguous patches, grid strides
-    block_expect = [[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]]
-    grid_expect = [[0, 2, 8, 10], [1, 3, 9, 11], [4, 6, 12, 14], [5, 7, 13, 15]]
-    got_block = axes.partition_indices("block", 4, 4, 2).tolist()
-    got_grid = axes.partition_indices("grid", 4, 4, 2).tolist()
-    assert got_block == block_expect, f"block index table {got_block}"
-    assert got_grid == grid_expect, f"grid index table {got_grid}"
+def check_partition_index_tables(kinds=("block", "grid")) -> None:
+    """partition_indices of a 4x4 map at size 2 equals INDEX_TABLES_4X4, for each of `kinds`."""
+    for kind in kinds:
+        got = axes.partition_indices(kind, 4, 4, 2).tolist()
+        assert got == INDEX_TABLES_4X4[kind], f"{kind} index table {got}"
 
 
 def _check_partition_rejects_indivisible():
@@ -262,22 +275,32 @@ def _gradcheck_suite():
 
 # -- golden suite -------------------------------------------------------------------
 
-def _check_golden_params():
-    bad = []
-    for name, want in GOLDEN_PARAMS.items():
-        got = count_model(name, resolution=224).total_params
+def check_golden_params(names=None) -> dict[str, float]:
+    """Analytic parameter counts at 224 within PARAM_TOLERANCE of the published
+    ones, for `names` (every GOLDEN_PARAMS variant when None). Returns each
+    variant's delta in percent."""
+    deltas, bad = {}, []
+    for name in GOLDEN_PARAMS if names is None else names:
+        got, want = count_model(name, resolution=224).total_params, GOLDEN_PARAMS[name]
+        deltas[name] = 100 * (got - want) / want
         if not within(got, want, PARAM_TOLERANCE):
             bad.append(f"{name}: {got} vs {want:.0f}")
     assert not bad, "param counts outside 2%: " + "; ".join(bad)
+    return deltas
 
 
-def _check_golden_macs():
-    bad = []
-    for (name, res), want in GOLDEN_MACS.items():
-        got = count_model(name, resolution=res).total_macs
+def check_golden_macs(targets=None) -> dict[str, float]:
+    """Analytic MACs at the resolution's default window within MACS_TOLERANCE of
+    the published ones, for each (variant, resolution) in `targets` (every
+    GOLDEN_MACS key when None). Returns each target's delta in percent."""
+    deltas, bad = {}, []
+    for name, res in GOLDEN_MACS if targets is None else targets:
+        got, want = count_model(name, resolution=res).total_macs, GOLDEN_MACS[(name, res)]
+        deltas[f"{name}@{res}"] = 100 * (got - want) / want
         if not within(got, want, MACS_TOLERANCE):
             bad.append(f"{name}@{res}: {got} vs {want:.0f}")
     assert not bad, "MAC counts outside 5%: " + "; ".join(bad)
+    return deltas
 
 
 def _check_window_policy():
@@ -289,23 +312,51 @@ def _check_window_policy():
         validate_geometry(spec, res, res)
 
 
-def _check_attention_macs_scale_by_four():
-    base = count_model("T", resolution=224, window=7)
-    double = count_model("T", resolution=448, window=7)
-    seen = 0
-    for a, b in zip(base.layers, double.layers):
-        assert a.name == b.name
-        if "block_attn" in a.name or "grid_attn" in a.name:
-            assert b.macs == 4 * a.macs, f"{a.name}: {b.macs} != 4*{a.macs}"
-            seen += 1
-    assert seen > 0, "no attention layers compared"
+def attention_records(count: ModelCount) -> list[LayerCount]:
+    """The records of every block- and grid-attention layer, norms and MLP included."""
+    return [l for l in count.layers if ".block_attn." in l.name or ".grid_attn." in l.name]
+
+
+def check_attention_macs_quadruple(variant: str = "T", resolution: int = 224, window: int = 7) -> int:
+    """At twice the resolution and a fixed window, the layer records keep their
+    names, attention records keep their params, and every attention record's
+    MACs are exactly 4x. Returns the number of attention records compared."""
+    base = count_model(variant, resolution=resolution, window=window)
+    double = count_model(variant, resolution=2 * resolution, window=window)
+    assert [l.name for l in base.layers] == [l.name for l in double.layers], "layer records differ"
+    pairs = list(zip(attention_records(base), attention_records(double)))
+    for a, b in pairs:
+        assert b.params == a.params, f"{a.name}: params {b.params} != {a.params}"
+        assert b.macs == 4 * a.macs, f"{a.name}: {b.macs} != 4*{a.macs}"
+    assert pairs, "no attention layers compared"
+    return len(pairs)
+
+
+def check_block_grid_parity(variant: str, resolution: int = 224) -> int:
+    """Each block's grid-attention records equal its block-attention records,
+    name for name, in params and MACs, and every block has attention with
+    non-zero params and MACs. Returns the number of blocks."""
+    count = count_model(variant, resolution=resolution)
+    paths = {
+        kind: {l.name.replace(f".{kind}.", "."): (l.params, l.macs) for l in count.layers if f".{kind}." in l.name}
+        for kind in ("block_attn", "grid_attn")
+    }
+    assert paths["block_attn"] == paths["grid_attn"], f"{variant}: block and grid attention records differ"
+    blocks = {".".join(l.name.split(".")[:3]) for l in count.layers if l.name.startswith("stages.")}
+    for blk in sorted(blocks):
+        records = [v for k, v in paths["block_attn"].items() if k.startswith(blk + ".")]
+        params, macs = sum(p for p, _ in records), sum(m for _, m in records)
+        assert params > 0 and macs > 0, f"{variant}: {blk} attention has {params} params and {macs} MACs"
+    return len(blocks)
 
 
 # -- loss suite ----------------------------------------------------------------------
 
-def _check_emd_hand_case():
+def check_emd_hand_case() -> float:
+    """All mass one bin apart over two bins, r=2: sqrt(1/2) to 1e-12 relative. Returns the value."""
     got = ops.emd_loss(Tensor(np.array([1.0, 0.0])), Tensor(np.array([0.0, 1.0])), r=2.0).item()
-    assert abs(got - np.sqrt(0.5)) < 1e-9, f"hand case gave {got!r}"
+    assert abs(got - np.sqrt(0.5)) <= 1e-12 * np.sqrt(0.5), f"hand case gave {got!r}"
+    return got
 
 
 def check_emd_metric_axioms(seed: int, triples: int) -> None:
@@ -329,16 +380,18 @@ def check_emd_metric_axioms(seed: int, triples: int) -> None:
     assert ops.emd_loss(p, Tensor(p.data.copy())).item() == 0.0, "self-distance must be zero"
 
 
-def _check_cross_entropy_oracle():
-    rng = np.random.default_rng(108)
-    logits = rng.standard_normal((6, 4)) * 2
-    labels = rng.integers(0, 4, size=6)
+def check_cross_entropy_oracle(seed: int, batch: int, classes: int, spread: float) -> None:
+    """softmax_cross_entropy on random f64 logits (standard normal x `spread`)
+    within 1e-12 of a per-row loop oracle."""
+    rng = np.random.default_rng(seed)
+    logits = rng.standard_normal((batch, classes)) * spread
+    labels = rng.integers(0, classes, size=batch)
     got = ops.softmax_cross_entropy(Tensor(logits), labels).item()
     want = 0.0
     for row, y in zip(logits, labels):
         e = np.exp(row - row.max())
         want -= np.log(e[y] / e.sum())
-    want /= len(labels)
+    want /= batch
     assert abs(got - want) < 1e-12, f"cross-entropy {got} vs oracle {want}"
 
 
@@ -395,10 +448,19 @@ def _check_train_smoke():
 def _static_suites() -> dict[str, list[tuple[str, Callable[[], None]]]]:
     return {
         "partition": [
-            ("block_roundtrip_random", lambda: _check_roundtrip("block", 101)),
-            ("grid_roundtrip_random", lambda: _check_roundtrip("grid", 102)),
-            ("grid_is_transposed_block_on_squares", _check_grid_is_transposed_block_on_squares),
-            ("index_tables_4x4", _check_partition_index_tables),
+            (
+                "block_roundtrip_random",
+                lambda: check_partition_roundtrips(seed=101, cases=60, sizes=(2, 3, 7), kinds=("block",)),
+            ),
+            (
+                "grid_roundtrip_random",
+                lambda: check_partition_roundtrips(seed=102, cases=60, sizes=(2, 3, 7), kinds=("grid",)),
+            ),
+            (
+                "grid_is_transposed_block_on_squares",
+                lambda: check_grid_is_transposed_block(seed=103, pairs=((8, 2), (12, 3), (14, 7), (28, 7))),
+            ),
+            ("index_tables_4x4", check_partition_index_tables),
             ("rejects_indivisible_extents", _check_partition_rejects_indivisible),
         ],
         "attention": [
@@ -408,15 +470,15 @@ def _static_suites() -> dict[str, list[tuple[str, Callable[[], None]]]]:
         ],
         "gradcheck": _gradcheck_suite(),
         "golden": [
-            ("parameter_parity", _check_golden_params),
-            ("mac_parity", _check_golden_macs),
+            ("parameter_parity", check_golden_params),
+            ("mac_parity", check_golden_macs),
             ("window_policy", _check_window_policy),
-            ("attention_macs_quadruple_at_double_resolution", _check_attention_macs_scale_by_four),
+            ("attention_macs_quadruple_at_double_resolution", check_attention_macs_quadruple),
         ],
         "losses": [
-            ("emd_hand_case", _check_emd_hand_case),
+            ("emd_hand_case", check_emd_hand_case),
             ("emd_metric_axioms", lambda: check_emd_metric_axioms(seed=107, triples=200)),
-            ("cross_entropy_oracle", _check_cross_entropy_oracle),
+            ("cross_entropy_oracle", lambda: check_cross_entropy_oracle(seed=108, batch=6, classes=4, spread=2.0)),
         ],
         "serialization": [
             ("checkpoint_roundtrip", _check_checkpoint_roundtrip),

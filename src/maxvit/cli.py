@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checks import run_checks, suite_names
+from .checks import attention_records, run_checks, suite_names
 from .counting import count_model
 from .errors import ConfigError, MaxVitError, PartitionError
 from .golden import GOLDEN_MACS, GOLDEN_PARAMS, MACS_TOLERANCE, PARAM_TOLERANCE, within
@@ -215,7 +215,7 @@ def _time_forwards(model, images: Tensor, iters: int) -> list[float]:
 def _attention_mac_ratio(variant: str, resolution: int, window: int) -> float:
     base = count_model(variant, resolution=resolution, window=window)
     dbl = count_model(variant, resolution=2 * resolution, window=window)
-    att = lambda c: sum(l.macs for l in c.layers if "block_attn" in l.name or "grid_attn" in l.name)
+    att = lambda c: sum(l.macs for l in attention_records(c))
     return att(dbl) / att(base)
 
 

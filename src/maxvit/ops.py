@@ -6,13 +6,15 @@ covered by central-difference checks in 64-bit mode (see gradcheck.py).
 
 Conventions:
   * dtype propagates from the inputs; mixing f32 and f64 operands is an error.
-  * `add`/`sub`/`mul` broadcast under numpy rules; the backward sums the
+  * `add`/`mul` broadcast under numpy rules; the backward sums the
     cotangent over broadcast axes so gradient shapes always match inputs.
   * `matmul` does NOT broadcast batch dims: both operands must have the same
     rank and identical leading extents. Dense layers flatten explicitly.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 from scipy.special import erf
@@ -22,7 +24,7 @@ from .tape import active_tape, record
 from .tensor import Tensor, debug_checks_enabled
 
 __all__ = [
-    "add", "sub", "mul", "scale", "shift", "matmul", "reshape", "transpose",
+    "add", "mul", "scale", "matmul", "reshape", "transpose",
     "reduce_sum", "reduce_mean", "gelu", "silu", "sigmoid",
     "softmax_lastdim", "layer_norm", "batch_norm_train", "batch_norm_inference",
     "conv2d", "depthwise_conv2d", "avg_pool2d", "gather_rows",
@@ -40,6 +42,12 @@ def _out(arr: np.ndarray, context: str) -> Tensor:
     if debug_checks_enabled() and not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by {context}")
     return Tensor(arr)
+
+
+def _check_rank(context: str, x: Tensor, rank: int, layout: str, at_least: bool = False) -> None:
+    """`x` has rank `rank` (or more when `at_least`), else DimensionError naming `layout`."""
+    if x.ndim < rank or (x.ndim > rank and not at_least):
+        raise DimensionError(f"{context} expects {layout} input, got shape {x.shape}")
 
 
 def _same_dtype(context: str, *ts: Tensor) -> None:
@@ -78,20 +86,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_dtype("sub", a, b)
-    try:
-        out = _out(a.data - b.data, "sub")
-    except ValueError as e:
-        raise DimensionError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from e
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    record(out, (a, b), backward)
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_dtype("mul", a, b)
     try:
@@ -110,12 +104,6 @@ def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
     out = _out(x.data * x.dtype.type(s), "scale")
     record(out, (x,), lambda g: (g * s,))
-    return out
-
-
-def shift(x: Tensor, s: float) -> Tensor:
-    out = _out(x.data + x.dtype.type(float(s)), "shift")
-    record(out, (x,), lambda g: (g,))
     return out
 
 
@@ -145,7 +133,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     shape = tuple(int(d) for d in shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
+    if any(d < 0 for d in shape) or int(np.prod(shape, dtype=np.int64)) != x.size:
         raise DimensionError(f"reshape: cannot view {x.shape} as {shape}")
     # The flat buffer is preserved bitwise; only the shape header changes.
     out = Tensor(x.data.reshape(shape))
@@ -348,6 +336,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     them with the forward's ops, so its gradients are the same bits as with
     a stored xhat.
     """
+    _check_rank("layer_norm", x, 1, "(..., features)", at_least=True)
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError(f"layer_norm: affines {gamma.shape}/{beta.shape} do not match feature dim {c}")
@@ -390,8 +379,7 @@ def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 
 def _check_channel_params(context: str, x: Tensor, **params) -> None:
     """NHWC `x`; each per-channel Tensor or array must be (C,) and of x's dtype."""
-    if x.ndim != 4:
-        raise DimensionError(f"{context} expects NHWC rank-4 input, got {x.shape}")
+    _check_rank(context, x, 4, "NHWC rank-4")
     c = x.shape[-1]
     for name, p in params.items():
         if not isinstance(p, (Tensor, np.ndarray)):
@@ -471,8 +459,8 @@ _TAP_BLOCK = 1 << 16  # elements of a row block's widest operand: one tap's slic
 def _check_kernel(context: str, kh: int, kw: int, stride: int) -> None:
     if kh < 1 or kw < 1:
         raise DimensionError(f"{context}: kernel extent ({kh}, {kw}) must be positive")
-    if stride < 1:
-        raise ConfigError(f"{context}: stride must be >= 1, got {stride}")
+    if not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ConfigError(f"{context}: stride must be an integer >= 1, got {stride!r}")
 
 
 def _same_pad(extent: int, k: int, stride: int) -> tuple[int, int]:
@@ -670,8 +658,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
 
 def avg_pool2d(x: Tensor, k: int) -> Tensor:
     """Non-overlapping k x k mean pooling; spatial extents must divide by k."""
-    if x.ndim != 4:
-        raise DimensionError(f"avg_pool2d expects NHWC rank-4 input, got {x.shape}")
+    _check_rank("avg_pool2d", x, 4, "NHWC rank-4")
     bsz, h, w, c = x.shape
     if k < 1 or h % k or w % k:
         raise PartitionError(f"avg_pool2d: extent ({h}, {w}) not divisible by pool size {k}")
@@ -695,8 +682,7 @@ def gather_rows(table: Tensor, index: np.ndarray) -> Tensor:
     `table` is (heads, entries) and `index` an integer array, typically the
     (L, L) relative-displacement index of an attention window.
     """
-    if table.ndim != 2:
-        raise DimensionError(f"gather_rows: table must be rank 2, got {table.shape}")
+    _check_rank("gather_rows", table, 2, "a (heads, entries) table")
     idx = np.asarray(index)
     if not np.issubdtype(idx.dtype, np.integer):
         raise DataError("gather_rows: index must be integral")
@@ -725,10 +711,11 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
     logits: (batch, classes), labels: (batch,) ints in [0, classes).
     """
-    if logits.ndim != 2:
-        raise DimensionError(f"softmax_cross_entropy: logits must be (batch, classes), got {logits.shape}")
+    _check_rank("softmax_cross_entropy", logits, 2, "(batch, classes) logits")
     y = np.asarray(labels)
     bsz, k = logits.shape
+    if bsz == 0:
+        raise DimensionError(f"softmax_cross_entropy: empty batch, logits shape {logits.shape}")
     if y.shape != (bsz,) or not np.issubdtype(y.dtype, np.integer):
         raise DataError(f"softmax_cross_entropy: labels must be {bsz} ints, got {y.shape} {y.dtype}")
     if y.min() < 0 or y.max() >= k:
@@ -756,9 +743,10 @@ def emd_loss(p: Tensor, q: Tensor, r: float = 2.0) -> Tensor:
     """
     if p.shape != q.shape:
         raise DimensionError(f"emd_loss: shapes {p.shape} and {q.shape} differ")
+    _check_rank("emd_loss", p, 1, "(..., bins)", at_least=True)
     _same_dtype("emd_loss", p, q)
-    if r < 1.0:
-        raise DataError(f"emd_loss: order r must be >= 1, got {r}")
+    if not isinstance(r, numbers.Real) or not 1.0 <= r < np.inf:
+        raise DataError(f"emd_loss: order r must be a finite number >= 1, got {r!r}")
     n = p.shape[-1]
     diff = np.cumsum(p.data - q.data, axis=-1)
     powed = np.abs(diff) ** r

@@ -113,39 +113,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={_SUPPORTED[self.dtype]})"
 
-    # -- operator sugar (delegates to ops.py; imported lazily to avoid a cycle)
-    def __add__(self, other):
-        from . import ops
-
-        if isinstance(other, (int, float)):
-            return ops.shift(self, float(other))
-        return ops.add(self, other)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        from . import ops
-
-        if isinstance(other, (int, float)):
-            return ops.shift(self, -float(other))
-        return ops.sub(self, other)
-
-    def __mul__(self, other):
-        from . import ops
-
-        if isinstance(other, (int, float)):
-            return ops.scale(self, float(other))
-        return ops.mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        from . import ops
-
-        return ops.scale(self, -1.0)
-
 
 # -- constructors -----------------------------------------------------------
 

@@ -4,8 +4,11 @@ session-scoped and computed once for every test that inspects its trace."""
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import maxvit.axes
+from maxvit.tensor import Tensor
 from maxvit.train import TOY_STEPS, train_toy
 
 
@@ -15,3 +18,10 @@ def toy_run():
     t0 = time.monotonic()
     result = train_toy(seed=0, steps=TOY_STEPS)
     return SimpleNamespace(result=result, seconds=time.monotonic() - t0)
+
+
+@pytest.fixture
+def skewed_grid(monkeypatch):
+    """An off-by-one fault in `maxvit.axes.grid`: every group's tokens rotated by one."""
+    real_grid = maxvit.axes.grid
+    monkeypatch.setattr(maxvit.axes, "grid", lambda x, g: Tensor(np.roll(real_grid(x, g).data, 1, axis=2)))

@@ -7,19 +7,26 @@ criterion is also a hard assertion, so plain pytest enforces the gate.
 import time
 
 import numpy as np
+import pytest
 
-from maxvit import axes, ops
+from maxvit import ops
 from maxvit.attention import build_bias_index, init_attention, multi_head_attention
-from maxvit.checks import _check_miniature_end_to_end_gradients, check_emd_metric_axioms, dense_attention_oracle
-from maxvit.counting import count_model
-from maxvit.gradcheck import GRAD_TOL, grad_check, primitive_cases
-from maxvit.golden import (
-    GOLDEN_MACS,
-    GOLDEN_PARAMS,
-    MACS_TOLERANCE,
-    PARAM_TOLERANCE,
-    within,
+from maxvit.checks import (
+    _check_miniature_end_to_end_gradients,
+    _static_suites,
+    check_attention_macs_quadruple,
+    check_block_grid_parity,
+    check_emd_hand_case,
+    check_emd_metric_axioms,
+    check_golden_macs,
+    check_golden_params,
+    check_grid_is_transposed_block,
+    check_partition_index_tables,
+    check_partition_roundtrips,
+    dense_attention_oracle,
 )
+from maxvit.gradcheck import GRAD_TOL, grad_check, primitive_cases
+from maxvit.golden import GOLDEN_MACS, GOLDEN_PARAMS
 from maxvit import golden as golden_module
 from maxvit.tensor import Tensor
 from maxvit.train import TOY_LOSS_TARGET, TOY_STEPS, train_toy
@@ -30,69 +37,55 @@ def report(num, ok, label):
     assert ok, f"criterion {num}: {label}"
 
 
+def holds(check, *args, **kwargs):
+    """(True, result) when a shared check passes, (False, its message) when it fails."""
+    try:
+        return True, check(*args, **kwargs)
+    except AssertionError as exc:
+        return False, str(exc)
+
+
+def percents(deltas):
+    return " ".join(f"{k}{v:+.2f}%" for k, v in deltas.items())
+
+
 # -- 1: parameter parity ----------------------------------------------------------------
 
 def test_criterion_01_parameter_parity():
     t0 = time.monotonic()
-    deltas = {}
-    ok = True
-    for name, want in GOLDEN_PARAMS.items():
-        got = count_model(name, resolution=224).total_params
-        deltas[name] = 100 * (got - want) / want
-        ok &= within(got, want, PARAM_TOLERANCE)
+    ok, deltas = holds(check_golden_params)
     elapsed = time.monotonic() - t0
-    ok &= elapsed < 1.0
-    detail = " ".join(f"{k}{v:+.2f}%" for k, v in deltas.items())
-    report(1, ok, f"params within +-2% of references ({detail}; {elapsed:.3f}s)")
+    detail = percents(deltas) if ok else deltas
+    report(1, ok and elapsed < 1.0, f"params within +-2% of references ({detail}; {elapsed:.3f}s)")
 
 
 # -- 2: FLOP parity --------------------------------------------------------------------
 
 def test_criterion_02_flop_parity():
     t0 = time.monotonic()
-    targets = [("T", 224), ("T", 384), ("B", 224), ("B", 384), ("L", 224)]
-    deltas = {}
-    ok = True
-    for name, res in targets:
-        want = GOLDEN_MACS[(name, res)]
-        got = count_model(name, resolution=res).total_macs
-        deltas[f"{name}@{res}"] = 100 * (got - want) / want
-        ok &= within(got, want, MACS_TOLERANCE)
+    ok, deltas = holds(check_golden_macs, [("T", 224), ("T", 384), ("B", 224), ("B", 384), ("L", 224)])
     elapsed = time.monotonic() - t0
-    ok &= elapsed < 1.0
-    detail = " ".join(f"{k}{v:+.2f}%" for k, v in deltas.items())
-    report(2, ok, f"MACs within +-5% of references ({detail}; {elapsed:.3f}s)")
+    detail = percents(deltas) if ok else deltas
+    report(2, ok and elapsed < 1.0, f"MACs within +-5% of references ({detail}; {elapsed:.3f}s)")
 
 
 # -- 3: partition correctness ------------------------------------------------------------
 
+CRITERION_03_ROUNDTRIPS = dict(seed=2024, cases=1000, sizes=(2, 3, 4, 7), dtype=np.float32)
+
+
 def test_criterion_03_partition_roundtrips():
-    rng = np.random.default_rng(2024)
-    ok = True
-    for case in range(1000):
-        size = int(rng.choice((2, 3, 4, 7)))
-        b = int(rng.integers(1, 3))
-        h = size * int(rng.integers(1, 5))
-        w = size * int(rng.integers(1, 5))
-        c = int(rng.integers(1, 4))
-        x = Tensor(rng.standard_normal((b, h, w, c)).astype(np.float32))
-        if case % 2 == 0:
-            back = axes.unblock(axes.block(x, size), h, w, size)
-        else:
-            back = axes.ungrid(axes.grid(x, size), h, w, size)
-        ok &= np.array_equal(back.data, x.data)
-
-    for n, g in ((8, 2), (14, 7), (28, 7), (12, 3)):
-        x = Tensor(rng.standard_normal((2, n, n, 3)))
-        ok &= np.array_equal(
-            axes.grid(x, g).data, ops.transpose(axes.block(x, n // g), (0, 2, 1, 3)).data
-        )
-
-    block_expect = [[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]]
-    grid_expect = [[0, 2, 8, 10], [1, 3, 9, 11], [4, 6, 12, 14], [5, 7, 13, 15]]
-    ok &= axes.partition_indices("block", 4, 4, 2).tolist() == block_expect
-    ok &= axes.partition_indices("grid", 4, 4, 2).tolist() == grid_expect
+    ok = holds(check_partition_roundtrips, **CRITERION_03_ROUNDTRIPS)[0]
+    ok &= holds(check_grid_is_transposed_block, seed=2024, pairs=((8, 2), (14, 7), (28, 7), (12, 3)))[0]
+    ok &= holds(check_partition_index_tables)[0]
     report(3, ok, "1000 partition roundtrips bitwise, grid==transpose(block), 4x4 tables")
+
+
+def test_criterion_03_and_the_check_suite_catch_a_skewed_grid(skewed_grid):
+    suite_roundtrips = dict(_static_suites()["partition"])["grid_roundtrip_random"]
+    for run in (lambda: check_partition_roundtrips(**CRITERION_03_ROUNDTRIPS), suite_roundtrips):
+        with pytest.raises(AssertionError, match="grid round trip broke"):
+            run()
 
 
 # -- 4: attention oracle -----------------------------------------------------------------
@@ -118,19 +111,7 @@ def test_criterion_04_attention_oracle():
 # -- 5: block/grid parity -----------------------------------------------------------------
 
 def test_criterion_05_block_grid_parity():
-    count = count_model("T", resolution=224)
-    ok = True
-    pairs = 0
-    for si in range(4):
-        b = 0
-        while any(l.name.startswith(f"stages.{si}.{b}.") for l in count.layers):
-            bp = sum(l.params for l in count.layers if l.name.startswith(f"stages.{si}.{b}.block_attn"))
-            bm = sum(l.macs for l in count.layers if l.name.startswith(f"stages.{si}.{b}.block_attn"))
-            gp = sum(l.params for l in count.layers if l.name.startswith(f"stages.{si}.{b}.grid_attn"))
-            gm = sum(l.macs for l in count.layers if l.name.startswith(f"stages.{si}.{b}.grid_attn"))
-            ok &= bp == gp and bm == gm and bp > 0 and bm > 0
-            pairs += 1
-            b += 1
+    ok, pairs = holds(check_block_grid_parity, "T")
     ok &= pairs == 11  # T has 2+2+5+2 blocks
     report(5, ok, f"block vs grid attention layers identical params and MACs ({pairs} block pairs, exact integers)")
 
@@ -138,16 +119,7 @@ def test_criterion_05_block_grid_parity():
 # -- 6: MAC linearity in area --------------------------------------------------------------
 
 def test_criterion_06_attention_mac_linearity():
-    base = count_model("T", resolution=224, window=7)
-    dbl = count_model("T", resolution=448, window=7)
-    ok = True
-    layers = 0
-    for a, b in zip(base.layers, dbl.layers):
-        ok &= a.name == b.name
-        if "block_attn" in a.name or "grid_attn" in a.name:
-            ok &= b.macs == 4 * a.macs
-            layers += 1
-    ok &= layers > 0
+    ok, layers = holds(check_attention_macs_quadruple, "T", resolution=224, window=7)
     report(6, ok, f"attention MACs exactly 4x at 448 vs 224, fixed P=G=7 ({layers} layer records)")
 
 
@@ -161,11 +133,7 @@ def test_criterion_07_gradient_fidelity():
         err = grad_check(fn, params)
         if err > worst:
             worst, worst_name = err, name
-    ok = worst < GRAD_TOL
-    try:
-        _check_miniature_end_to_end_gradients()
-    except AssertionError:
-        ok = False
+    ok = worst < GRAD_TOL and holds(_check_miniature_end_to_end_gradients)[0]
     elapsed = time.monotonic() - t0
     ok &= elapsed < 120.0
     report(7, ok, f"all primitives + miniature model grad_check < 1e-4 in f64 "
@@ -193,14 +161,11 @@ def test_criterion_08_toy_trainability(toy_run):
 # -- 9: EMD loss ---------------------------------------------------------------------------
 
 def test_criterion_09_emd_metric():
-    hand = ops.emd_loss(Tensor(np.array([1.0, 0.0])), Tensor(np.array([0.0, 1.0])), r=2.0).item()
-    ok = abs(hand - np.sqrt(0.5)) < 1e-9
-
-    try:
-        check_emd_metric_axioms(seed=99, triples=1000)
-    except AssertionError:
-        ok = False
-    report(9, ok, f"EMD hand case sqrt(1/2) within 1e-9 ({hand:.12f}), metric axioms on 1000 triples")
+    hand_ok, hand = holds(check_emd_hand_case)
+    axioms_ok = holds(check_emd_metric_axioms, seed=99, triples=1000)[0]
+    detail = f"{hand:.12f}" if hand_ok else hand
+    report(9, hand_ok and axioms_ok,
+           f"EMD hand case sqrt(1/2) within 1e-12 relative ({detail}), metric axioms on 1000 triples")
 
 
 # -- 10: desk-scale exclusions ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Partition transforms: golden index tables, roundtrips, and the swap-axes equivalence.
+"""Partition transforms: golden index tables, roundtrips, and grid as the transposed block.
 
 The oracles enumerate window/group membership by arithmetic on (row, col)
 coordinates, independent of the reshape/transpose implementation under test.
@@ -13,6 +13,12 @@ from hypothesis import strategies as st
 
 from maxvit import ops
 from maxvit.axes import block, dump_indices, grid, partition_indices, unblock, ungrid
+from maxvit.checks import (
+    INDEX_TABLES_4X4,
+    check_grid_is_transposed_block,
+    check_partition_index_tables,
+    check_partition_roundtrips,
+)
 from maxvit.errors import PartitionError
 from maxvit.tensor import Tensor
 
@@ -50,15 +56,13 @@ def grid_indices_oracle(h, w, g):
 
 
 def test_block_golden_4x4_window2():
-    want = [[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]]
-    assert partition_indices("block", 4, 4, 2).tolist() == want
-    assert block_indices_oracle(4, 4, 2) == want
+    check_partition_index_tables(kinds=("block",))
+    assert block_indices_oracle(4, 4, 2) == INDEX_TABLES_4X4["block"]
 
 
 def test_grid_golden_4x4_grid2():
-    want = [[0, 2, 8, 10], [1, 3, 9, 11], [4, 6, 12, 14], [5, 7, 13, 15]]
-    assert partition_indices("grid", 4, 4, 2).tolist() == want
-    assert grid_indices_oracle(4, 4, 2) == want
+    check_partition_index_tables(kinds=("grid",))
+    assert grid_indices_oracle(4, 4, 2) == INDEX_TABLES_4X4["grid"]
 
 
 @pytest.mark.parametrize("h,w,size", [(4, 4, 2), (6, 4, 2), (14, 28, 7), (8, 8, 4)])
@@ -81,22 +85,18 @@ def test_block_shapes():
 
 
 def test_roundtrip_bitwise():
-    x = _image(2, 14, 14, 8, seed=1)
-    assert np.array_equal(unblock(block(x, 7), 14, 14, 7).data, x.data)
-    assert np.array_equal(ungrid(grid(x, 7), 14, 14, 7).data, x.data)
+    # the paper's P = G = 7, at 7 to 28 pixels a side
+    seen = check_partition_roundtrips(seed=1, cases=20, sizes=(7,))
+    assert {kind for kind, _, _ in seen} == {"block", "grid"}
 
 
 def test_roundtrip_rectangular():
-    x = _image(1, 6, 10, 3, seed=2)
-    assert np.array_equal(unblock(block(x, 2), 6, 10, 2).data, x.data)
-    assert np.array_equal(ungrid(grid(x, 2), 6, 10, 2).data, x.data)
+    seen = check_partition_roundtrips(seed=2, cases=20, sizes=(2,))
+    assert {kind for kind, (_, h, w, _), _ in seen if h != w} == {"block", "grid"}
 
 
 def test_grid_equals_swapped_block_on_square_inputs():
-    for h, g in [(4, 2), (14, 7), (12, 2), (12, 3), (16, 4)]:
-        x = _image(2, h, h, 3, seed=h * 10 + g)
-        via_block = ops.transpose(block(x, h // g), (0, 2, 1, 3))
-        assert np.array_equal(grid(x, g).data, via_block.data)
+    check_grid_is_transposed_block(seed=5, pairs=((4, 2), (14, 7), (12, 2), (12, 3), (16, 4)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,8 +134,7 @@ def test_indivisible_extent_raises_before_compute():
 
 
 def test_dump_indices_json():
-    data = json.loads(dump_indices("block", 4, 4, 2))
-    assert data == [[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]]
+    assert json.loads(dump_indices("block", 4, 4, 2)) == INDEX_TABLES_4X4["block"]
     with pytest.raises(PartitionError):
         dump_indices("diagonal", 4, 4, 2)
 

@@ -12,10 +12,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-import maxvit.axes
 import maxvit.cli
 from maxvit.cli import main
-from maxvit.tensor import Tensor
 
 
 def schema(name):
@@ -111,15 +109,8 @@ def test_check_unknown_filter_is_usage_error(capsys):
     assert "matches no suite" in capsys.readouterr().err
 
 
-def test_check_detects_injected_partition_fault(capsys, monkeypatch):
-    # off-by-one fault: rotate every window's tokens; roundtrips must catch it
-    real_grid = maxvit.axes.grid
-
-    def skewed_grid(x, grid_size):
-        out = real_grid(x, grid_size)
-        return Tensor(np.roll(out.data, 1, axis=2))
-
-    monkeypatch.setattr(maxvit.axes, "grid", skewed_grid)
+def test_check_detects_injected_partition_fault(capsys, skewed_grid):
+    # rotated tokens in every grid group: the roundtrips must catch it
     code, report = run_json(capsys, ["check", "--filter", "partition", "--json"])
     assert code == 1
     assert report["ok"] is False
@@ -128,12 +119,7 @@ def test_check_detects_injected_partition_fault(capsys, monkeypatch):
     jsonschema.validate(report, schema("check"))
 
 
-def test_check_plain_output_names_failing_property(capsys, monkeypatch):
-    real_grid = maxvit.axes.grid
-    monkeypatch.setattr(
-        maxvit.axes, "grid",
-        lambda x, g: Tensor(np.roll(real_grid(x, g).data, 1, axis=2)),
-    )
+def test_check_plain_output_names_failing_property(capsys, skewed_grid):
     code = main(["check", "--filter", "partition"])
     out = capsys.readouterr().out
     assert code == 1

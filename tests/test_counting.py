@@ -2,23 +2,20 @@
 
 import pytest
 
+from maxvit.checks import check_attention_macs_quadruple, check_block_grid_parity, check_golden_macs, check_golden_params
 from maxvit.counting import count_flops, count_model, count_params
-from maxvit.golden import GOLDEN_MACS, GOLDEN_PARAMS, MACS_TOLERANCE, PARAM_TOLERANCE, within
-from maxvit.model import VARIANTS, StageSpec, VariantSpec, build_model, default_window
+from maxvit.golden import GOLDEN_MACS
+from maxvit.model import VARIANTS, StageSpec, VariantSpec, build_model
 
 
 @pytest.mark.parametrize("name", ["T", "S", "B", "L", "XL"])
 def test_params_within_published_tolerance(name):
-    got = count_model(name, 224, num_classes=1000).total_params
-    ref = GOLDEN_PARAMS[name]
-    assert within(got, ref, PARAM_TOLERANCE), f"{name}: {got} vs {ref}"
+    check_golden_params([name])
 
 
 @pytest.mark.parametrize("name,res", sorted(GOLDEN_MACS))
 def test_macs_within_published_tolerance(name, res):
-    got = count_flops(name, res, window=default_window(res))
-    ref = GOLDEN_MACS[(name, res)]
-    assert within(got, ref, MACS_TOLERANCE), f"{name}@{res}: {got} vs {ref}"
+    check_golden_macs([(name, res)])
 
 
 @pytest.mark.parametrize("name", ["T", "S"])
@@ -63,24 +60,13 @@ def test_attention_layer_macs_closed_form():
 def test_block_grid_parity_params_and_macs():
     # per-layer records of the two attention paths must match exactly
     for name in VARIANTS:
-        mc = count_model(name, 224)
-        blocks = {l.name.replace(".block_attn.", "."): (l.params, l.macs) for l in mc.layers if ".block_attn." in l.name}
-        grids = {l.name.replace(".grid_attn.", "."): (l.params, l.macs) for l in mc.layers if ".grid_attn." in l.name}
-        assert blocks == grids, name
+        check_block_grid_parity(name)
 
 
 def test_attention_macs_quadruple_when_resolution_doubles():
     # fixed window 7: 224 and 448 are both valid; every attention record x4
-    a = count_model("T", 224, window=7)
-    b = count_model("T", 448, window=7)
-    att_a = [l for l in a.layers if l.kind in ("attn_matmul",) or ".attn." in l.name or ".mlp." in l.name]
-    att_b = [l for l in b.layers if l.kind in ("attn_matmul",) or ".attn." in l.name or ".mlp." in l.name]
-    assert len(att_a) == len(att_b)
-    for la, lb in zip(att_a, att_b):
-        assert la.name == lb.name
-        assert la.params == lb.params
-        if la.macs:
-            assert lb.macs == 4 * la.macs, la.name
+    records = check_attention_macs_quadruple("T", resolution=224, window=7)
+    assert records == 11 * 2 * 11  # 11 blocks, a block and a grid layer each, 11 records per layer
 
 
 def test_total_macs_scale_subquadratically():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maxvit import ops
-from maxvit.checks import check_emd_metric_axioms
+from maxvit.checks import check_cross_entropy_oracle, check_emd_hand_case, check_emd_metric_axioms
 from maxvit.errors import DataError, DimensionError
 from maxvit.gradcheck import GRAD_TOL, grad_check
 from maxvit.tensor import Tensor
@@ -16,21 +16,8 @@ def _t(a):
 
 # -- cross-entropy ----------------------------------------------------------------
 
-def cross_entropy_oracle(logits, labels):
-    total = 0.0
-    for row, y in zip(logits, labels):
-        e = np.exp(row - row.max())
-        p = e / e.sum()
-        total += -np.log(p[y])
-    return total / len(labels)
-
-
 def test_cross_entropy_matches_oracle():
-    rng = np.random.default_rng(0)
-    logits = rng.standard_normal((8, 5)) * 3
-    labels = rng.integers(0, 5, size=8)
-    got = ops.softmax_cross_entropy(_t(logits), labels)
-    assert got.item() == pytest.approx(cross_entropy_oracle(logits, labels), rel=1e-12)
+    check_cross_entropy_oracle(seed=0, batch=8, classes=5, spread=3.0)
 
 
 def test_cross_entropy_uniform_logits():
@@ -73,9 +60,7 @@ def emd_oracle(p, q, r):
 
 
 def test_emd_hand_case():
-    # all mass one bin apart, two bins: sqrt(1/2)
-    got = ops.emd_loss(_t([1.0, 0.0]), _t([0.0, 1.0]), r=2.0)
-    assert got.item() == pytest.approx(np.sqrt(0.5), rel=1e-12)
+    check_emd_hand_case()
 
 
 def test_emd_matches_oracle_and_r_values():

@@ -117,11 +117,11 @@ def test_softmax_extreme_inputs_stay_finite():
 
 # -- elementwise / reductions ------------------------------------------------------
 
-def test_add_broadcasts_and_sub():
+def test_add_broadcasts():
     a = _t64(np.ones((2, 1, 3)))
     b = _t64(np.arange(3, dtype=np.float64))
     assert ops.add(a, b).shape == (2, 1, 3)
-    np.testing.assert_allclose(ops.sub(a, b).data[0, 0], [1.0, 0.0, -1.0])
+    np.testing.assert_allclose(ops.add(a, b).data[0, 0], [1.0, 2.0, 3.0])
 
 
 def test_reductions():
@@ -568,6 +568,27 @@ def test_avg_pool2d():
 def test_non_positive_stride_or_pool_size_rejected(call, error):
     with pytest.raises(error):
         call(_t64(np.zeros((1, 4, 4, 2))))
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: ops.reshape(_t64(np.ones((2, 3))), (-2, -3)), DimensionError),
+        (lambda: ops.softmax_cross_entropy(_t64(np.zeros((0, 3))), np.zeros(0, np.int64)), DimensionError),
+        (lambda: ops.layer_norm(_t64(1.0), _t64(np.ones(1)), _t64(np.zeros(1))), DimensionError),
+        (lambda: ops.emd_loss(_t64(1.0), _t64(1.0)), DimensionError),
+        (lambda: ops.emd_loss(_t64([0.5, 0.5]), _t64([0.2, 0.8]), r=float("nan")), DataError),
+        (lambda: ops.conv2d(_t64(np.zeros((1, 4, 4, 2))), _t64(np.ones((3, 3, 2, 2))), stride=1.5), ConfigError),
+        (lambda: ops.depthwise_conv2d(_t64(np.zeros((1, 4, 4, 2))), _t64(np.ones((3, 3, 2))), stride=1.5), ConfigError),
+    ],
+    ids=[
+        "reshape-negative-extents", "cross-entropy-empty-batch", "layer-norm-0d", "emd-0d", "emd-r-nan",
+        "conv-stride-1.5", "depthwise-stride-1.5",
+    ],
+)
+def test_misuse_raises_from_the_error_taxonomy(call, error):
+    with pytest.raises(error):
+        call()
 
 
 # -- gather ---------------------------------------------------------------------------
