@@ -9,7 +9,7 @@ and `golden` (analytic size accounting vs published references), `optim` and
 
 from .axes import block, grid, partition_indices, unblock, ungrid
 from .checks import run_checks
-from .counting import count_flops, count_model, count_params
+from .counting import count_model, count_params
 from .errors import (
     ConfigError,
     DataError,
@@ -59,7 +59,7 @@ __all__ = [
     "VariantSpec", "StageSpec", "VARIANTS", "TOY_VARIANT", "MaxVitModel",
     "build_model", "forward", "default_window", "validate_geometry",
     "with_window", "save_model", "load_model", "named_parameters", "named_buffers",
-    "count_model", "count_params", "count_flops",
+    "count_model", "count_params",
     "GOLDEN_PARAMS", "GOLDEN_MACS", "PARAM_TOLERANCE", "MACS_TOLERANCE",
     "AdamW", "AdamWConfig", "make_toy_dataset", "train_toy",
     "TOY_STEPS", "TOY_LOSS_TARGET", "run_checks",

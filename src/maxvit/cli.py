@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from statistics import median
 from typing import Optional
 
@@ -23,27 +22,11 @@ from .checks import attention_records, run_checks, suite_names
 from .counting import count_model
 from .errors import ConfigError, MaxVitError, PartitionError
 from .golden import GOLDEN_MACS, GOLDEN_PARAMS, MACS_TOLERANCE, PARAM_TOLERANCE, within
-from .model import (
-    VARIANTS,
-    build_model,
-    default_window,
-    forward,
-    resolve_variant,
-    validate_geometry,
-    with_window,
-)
+from .model import VARIANTS, build_model, default_window, forward, resolve_variant, with_window
 from .tensor import Tensor, default_dtype
 from .train import TOY_LOSS_TARGET, TOY_STEPS, train_toy
 
 __all__ = ["main"]
-
-
-def _admit_geometry(variant: str, resolution: int) -> int:
-    """Window for the resolution, after proving the whole schedule divides."""
-    window = default_window(resolution)  # ConfigError if not a multiple of 32
-    spec = replace(resolve_variant(variant), window=window, grid_size=window)
-    validate_geometry(spec, resolution, resolution)
-    return window
 
 
 def _emit(report: dict, args, text: str) -> None:
@@ -60,8 +43,7 @@ def _emit(report: dict, args, text: str) -> None:
 # -- describe -------------------------------------------------------------------------
 
 def _describe_report(variant: str, resolution: int, num_classes: int) -> dict:
-    window = _admit_geometry(variant, resolution)
-    count = count_model(variant, resolution=resolution, num_classes=num_classes)
+    count = count_model(variant, resolution, num_classes, window=default_window(resolution))
     spec = resolve_variant(variant)
     totals = count.stage_totals()
 
@@ -112,8 +94,8 @@ def _describe_report(variant: str, resolution: int, num_classes: int) -> dict:
     return {
         "variant": variant,
         "resolution": resolution,
-        "window": window,
-        "grid_size": window,
+        "window": count.window,
+        "grid_size": count.grid_size,
         "num_classes": num_classes,
         "dtype": str(np.dtype(default_dtype())),
         "stages": stages,
@@ -212,17 +194,13 @@ def _time_forwards(model, images: Tensor, iters: int) -> list[float]:
     return out
 
 
-def _attention_mac_ratio(variant: str, resolution: int, window: int) -> float:
-    base = count_model(variant, resolution=resolution, window=window)
-    dbl = count_model(variant, resolution=2 * resolution, window=window)
-    att = lambda c: sum(l.macs for l in attention_records(c))
-    return att(dbl) / att(base)
-
-
 def _cmd_bench(args) -> int:
     if args.iters < 0:
         raise ConfigError(f"iters must be non-negative, got {args.iters}")
-    window = _admit_geometry(args.variant, args.res)
+    window = default_window(args.res)
+    base = count_model(args.variant, args.res, window=window)
+    dbl = count_model(args.variant, 2 * args.res, window=window)
+    attention_macs = lambda c: sum(l.macs for l in attention_records(c))
     report = {
         "variant": args.variant,
         "resolution": args.res,
@@ -235,9 +213,8 @@ def _cmd_bench(args) -> int:
         "p90_ms": None,
         "imgs_per_s": None,
         "double": None,
-        "attention_mac_ratio": _attention_mac_ratio(args.variant, args.res, window),
-        "total_mac_ratio": count_model(args.variant, resolution=2 * args.res, window=window).total_macs
-        / count_model(args.variant, resolution=args.res, window=window).total_macs,
+        "attention_mac_ratio": attention_macs(dbl) / attention_macs(base),
+        "total_mac_ratio": dbl.total_macs / base.total_macs,
     }
     if args.iters > 0:
         model = build_model(args.variant, seed=args.seed)
@@ -328,7 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--variant", choices=variants, default="T")
     d.add_argument("--res", type=int, default=224, help="square input resolution (multiple of 32)")
     d.add_argument("--num-classes", type=int, default=1000)
-    d.add_argument("--seed", type=int, default=0, help="accepted for interface symmetry; describe is analytic")
     d.add_argument("--json", action="store_true", help="print the report as JSON")
     d.add_argument("--out", default=None, help="also write the JSON report to this path")
     d.set_defaults(fn=_cmd_describe)

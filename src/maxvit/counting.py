@@ -9,19 +9,19 @@ Counting convention (frozen; the golden comparisons depend on it):
     activations, softmax, pooling, residual adds, and the bias-table gather
     count zero.
 
-The walker mirrors build_model layer for layer (verified by tests comparing
-against count_params of real models), so B/L/XL can be audited without
-allocating hundreds of millions of floats.
+The walker shares the stage schedule with build_model: both walk
+`model.block_pieces`, and the extents come from `validate_geometry`, so a
+count exists exactly where `forward` would run, and B/L/XL can be audited
+without allocating hundreds of millions of floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import ConfigError
-from .model import MaxVitModel, default_window, named_parameters, resolve_variant
+from .model import MaxVitModel, block_pieces, default_window, named_parameters, resolve_variant, validate_geometry
 
-__all__ = ["LayerCount", "ModelCount", "count_model", "count_params", "count_flops"]
+__all__ = ["LayerCount", "ModelCount", "count_model", "count_params"]
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class ModelCount:
         return [lc for lc in self.layers if needle in lc.name]
 
 
-def _attention_layer_counts(prefix: str, kind: str, channels: int, size: int, head_dim: int, mlp_expansion: int, tokens: int):
+def _attention_layer_counts(prefix: str, channels: int, size: int, head_dim: int, mlp_expansion: int, tokens: int):
     """Per-layer records for one attention layer at a given token count."""
     heads = channels // head_dim
     window_tokens = size * size
@@ -81,11 +81,10 @@ def _attention_layer_counts(prefix: str, kind: str, channels: int, size: int, he
     ]
 
 
-def _mbconv_counts(prefix: str, cin: int, cout: int, stride: int, expansion: int, se_ratio: float, h_in: int, w_in: int):
+def _mbconv_counts(prefix: str, cin: int, cout: int, stride: int, expansion: int, se_ratio: float, n_in: int, n_out: int):
+    """Per-layer records for one MBConv reading n_in positions and writing n_out."""
     mid = expansion * cout
     bottleneck = max(1, int(round(se_ratio * cout)))
-    h_out, w_out = h_in // stride, w_in // stride
-    n_in, n_out = h_in * w_in, h_out * w_out
     layers = [
         LayerCount(f"{prefix}.pre_norm", "norm", 2 * cin, 0),
         LayerCount(f"{prefix}.expand", "conv1x1", cin * mid, cin * mid * n_in),
@@ -102,42 +101,32 @@ def _mbconv_counts(prefix: str, cin: int, cout: int, stride: int, expansion: int
 
 
 def count_model(variant, resolution: int = 224, num_classes: int = 1000, window: int | None = None) -> ModelCount:
-    """Full per-layer accounting for a variant at a square input resolution."""
+    """Full per-layer accounting for a variant at a square input resolution.
+
+    `window` sets both the window and the grid size; by default it is the
+    resolution's `default_window` when the resolution is a multiple of 32,
+    else the variant's own. Raises PartitionError wherever `forward` would.
+    """
     spec = resolve_variant(variant)
     if window is None and resolution % 32 == 0:
         window = default_window(resolution)
     if window is not None:
-        from dataclasses import replace
-
-        spec = replace(spec, window=window, grid_size=window)
-    if resolution < 4 or resolution % 4:
-        raise ConfigError(f"resolution {resolution} must be a positive multiple of 4")
-    layers: list[LayerCount] = []
-    h = w = resolution // 2
-    cs = spec.stem_channels
-    layers.append(LayerCount("stem.conv1", "conv3x3", 9 * 3 * cs, 9 * 3 * cs * h * w))
-    layers.append(LayerCount("stem.norm", "norm", 2 * cs, 0))
-    layers.append(LayerCount("stem.conv2", "conv3x3", 9 * cs * cs + cs, 9 * cs * cs * h * w))
-    cin = cs
-    for si, stage in enumerate(spec.stages):
-        for b in range(stage.depth):
-            stride = 2 if b == 0 else 1
-            prefix = f"stages.{si}.{b}"
-            width = cin
-            for piece in spec.block_order:
-                if piece == "conv":
-                    layers.extend(
-                        _mbconv_counts(f"{prefix}.conv", cin, stage.channels, stride, spec.conv_expansion, spec.se_ratio, h, w)
-                    )
-                    h, w = h // stride, w // stride
-                    width = stage.channels
-                else:
-                    kind = "block_attn" if piece == "block_attn" else "grid_attn"
-                    size = spec.window if piece == "block_attn" else spec.grid_size
-                    layers.extend(
-                        _attention_layer_counts(f"{prefix}.{kind}", kind, width, size, spec.head_dim, spec.mlp_expansion, h * w)
-                    )
-            cin = stage.channels
+        spec = resolve_variant(replace(spec, window=window, grid_size=window))
+    extents = validate_geometry(spec, resolution, resolution)
+    (h, w), cs = extents[0], spec.stem_channels
+    layers: list[LayerCount] = [
+        LayerCount("stem.conv1", "conv3x3", 9 * 3 * cs, 9 * 3 * cs * h * w),
+        LayerCount("stem.norm", "norm", 2 * cs, 0),
+        LayerCount("stem.conv2", "conv3x3", 9 * cs * cs + cs, 9 * cs * cs * h * w),
+    ]
+    for p, (h, w), (h_out, w_out) in zip(block_pieces(spec), extents, extents[1:]):
+        prefix = f"stages.{p.stage}.{p.block}.{p.piece}"
+        if p.piece == "conv":
+            layers += _mbconv_counts(
+                prefix, p.cin, p.cout, p.stride, spec.conv_expansion, spec.se_ratio, h * w, h_out * w_out
+            )
+        else:
+            layers += _attention_layer_counts(prefix, p.cin, p.size, spec.head_dim, spec.mlp_expansion, h * w)
     last = spec.stages[-1].channels
     layers.append(LayerCount("head", "dense", last * num_classes + num_classes, last * num_classes))
     return ModelCount(
@@ -154,10 +143,3 @@ def count_model(variant, resolution: int = 224, num_classes: int = 1000, window:
 def count_params(model: MaxVitModel) -> int:
     """Exact learnable-scalar count of a built model (sums real tensor sizes)."""
     return sum(t.size for _, t in named_parameters(model))
-
-
-def count_flops(variant, resolution: int = 224, num_classes: int = 1000, window: int | None = None) -> int:
-    """Total analytic MACs for one image; see module docstring for the convention."""
-    if isinstance(variant, MaxVitModel):
-        return count_model(variant.variant, resolution, variant.num_classes).total_macs
-    return count_model(variant, resolution, num_classes, window).total_macs

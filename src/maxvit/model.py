@@ -9,10 +9,12 @@ attention; widths double stage to stage while resolution halves.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
+import numbers
 import os
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -47,8 +49,8 @@ from .tensor import Tensor, default_dtype, load_tensor, save_tensor
 
 __all__ = [
     "StageSpec", "VariantSpec", "VARIANTS", "TOY_VARIANT", "resolve_variant",
-    "default_window", "MbConvParams", "mbconv_forward", "MaxVitBlockParams",
-    "StemParams", "MaxVitModel", "build_model", "forward",
+    "default_window", "BlockPiece", "block_pieces", "MbConvParams", "mbconv_forward",
+    "MaxVitBlockParams", "StemParams", "MaxVitModel", "build_model", "validate_geometry", "forward",
     "named_parameters", "parameter_slots", "named_buffers",
     "with_window", "save_model", "load_model",
 ]
@@ -80,21 +82,32 @@ class VariantSpec:
     block_order: tuple[str, ...] = ("conv", "block_attn", "grid_attn")
 
     def validate(self) -> None:
-        if sorted(self.block_order) != ["block_attn", "conv", "grid_attn"]:
+        if not isinstance(self.name, str):
+            raise ConfigError(f"variant name must be a string, got {self.name!r}")
+        if not isinstance(self.block_order, tuple) or sorted(self.block_order, key=str) != [
+            "block_attn", "conv", "grid_attn"
+        ]:
             raise ConfigError(
                 f"block_order must arrange ('conv', 'block_attn', 'grid_attn'), got {self.block_order}"
             )
-        if self.stem_channels < 1 or not self.stages:
-            raise ConfigError(f"invalid variant {self.name}: empty stem or stages")
+        for key in ("stem_channels", "window", "grid_size", "head_dim", "conv_expansion", "mlp_expansion"):
+            if not _int_at_least(getattr(self, key)):
+                raise ConfigError(f"variant {key} must be a positive integer, got {getattr(self, key)!r}")
+        if not isinstance(self.se_ratio, numbers.Real) or not 0 < self.se_ratio < float("inf"):
+            raise ConfigError(f"variant se_ratio must be a positive number, got {self.se_ratio!r}")
+        if not isinstance(self.stages, tuple) or not self.stages:
+            raise ConfigError(f"invalid variant {self.name}: stages must be a non-empty tuple")
         for s in self.stages:
-            if s.depth < 1 or s.channels < 1:
+            if not isinstance(s, StageSpec) or not (_int_at_least(s.depth) and _int_at_least(s.channels)):
                 raise ConfigError(f"invalid stage spec {s}")
             if s.channels % self.head_dim:
                 raise ConfigError(
                     f"stage width {s.channels} not divisible by head_dim {self.head_dim}"
                 )
-        if self.window < 1 or self.grid_size < 1:
-            raise ConfigError(f"window/grid must be positive, got {self.window}/{self.grid_size}")
+
+
+def _int_at_least(v, low: int = 1) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low
 
 
 def _mk(name, stem, chans, depths) -> VariantSpec:
@@ -140,8 +153,8 @@ def default_window(resolution: int) -> int:
     (so 224 -> 7, 384 -> 12, 448 -> 7, 512 -> 8), falling back to
     resolution/32 itself.
     """
-    if resolution % 32:
-        raise ConfigError(f"resolution {resolution} must be a multiple of 32")
+    if resolution < 32 or resolution % 32:
+        raise ConfigError(f"resolution {resolution} must be a positive multiple of 32")
     last = resolution // 32
     if last % 7 == 0:
         return 7
@@ -213,26 +226,6 @@ class MaxVitBlockParams:
     grid_attn: AttentionLayerParams
 
 
-def init_stage_block(rng, spec: VariantSpec, cin: int, cout: int, stride: int, dtype=None) -> MaxVitBlockParams:
-    # Sub-layers created in execution order so parameter draws follow the data
-    # path; attention width depends on whether the conv has run yet.
-    width = cin
-    parts: dict[str, object] = {}
-    for piece in spec.block_order:
-        if piece == "conv":
-            parts["conv"] = init_mbconv(rng, cin, cout, stride, spec.conv_expansion, spec.se_ratio, dtype)
-            width = cout
-        elif piece == "block_attn":
-            parts["block_attn"] = init_attention_layer(
-                rng, "block", width, spec.window, spec.head_dim, spec.mlp_expansion, dtype
-            )
-        else:
-            parts["grid_attn"] = init_attention_layer(
-                rng, "grid", width, spec.grid_size, spec.head_dim, spec.mlp_expansion, dtype
-            )
-    return MaxVitBlockParams(order=spec.block_order, **parts)
-
-
 def stage_block_forward(x: Tensor, p: MaxVitBlockParams, training: bool = False) -> Tensor:
     for piece in p.order:
         if piece == "conv":
@@ -242,6 +235,39 @@ def stage_block_forward(x: Tensor, p: MaxVitBlockParams, training: bool = False)
         else:
             x = attention_layer(x, p.grid_attn)
     return x
+
+
+# -- the stage schedule -------------------------------------------------------------
+
+class BlockPiece(NamedTuple):
+    """One piece of one stage block, as the forward runs it."""
+
+    stage: int
+    block: int
+    piece: str             # "conv" | "block_attn" | "grid_attn"
+    cin: int
+    cout: int
+    stride: int
+    size: Optional[int]    # window (block_attn) or grid lattice (grid_attn); None for conv
+
+
+def block_pieces(spec: VariantSpec) -> Iterator[BlockPiece]:
+    """The stage schedule: every stage-block piece in execution order.
+
+    Each stage's first conv halves the extent and sets the stage width; the
+    attention pieces keep the width they find. Building, geometry checking and
+    counting all walk this one schedule.
+    """
+    width = spec.stem_channels
+    for si, stage in enumerate(spec.stages):
+        for b in range(stage.depth):
+            for piece in spec.block_order:
+                if piece == "conv":
+                    yield BlockPiece(si, b, piece, width, stage.channels, 2 if b == 0 else 1, None)
+                    width = stage.channels
+                else:
+                    size = spec.window if piece == "block_attn" else spec.grid_size
+                    yield BlockPiece(si, b, piece, width, width, 1, size)
 
 
 # -- the full model -----------------------------------------------------------------
@@ -263,11 +289,20 @@ class MaxVitModel:
     head: LinearParams
 
 
+def _init_piece(rng, spec: VariantSpec, p: BlockPiece, dtype):
+    if p.piece == "conv":
+        return init_mbconv(rng, p.cin, p.cout, p.stride, spec.conv_expansion, spec.se_ratio, dtype)
+    kind = p.piece.removesuffix("_attn")
+    return init_attention_layer(rng, kind, p.cin, p.size, spec.head_dim, spec.mlp_expansion, dtype)
+
+
 def build_model(variant="T", num_classes: int = 1000, seed: int = 0, dtype=None) -> MaxVitModel:
     """Deterministic construction: same variant/classes/seed => bitwise-equal weights."""
     spec = resolve_variant(variant)
-    if num_classes < 1:
-        raise ConfigError(f"num_classes must be positive, got {num_classes}")
+    if not _int_at_least(num_classes):
+        raise ConfigError(f"num_classes must be a positive integer, got {num_classes!r}")
+    if not _int_at_least(seed, 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     dt = dtype or default_dtype()
     rng = np.random.default_rng(seed)
     stem = StemParams(
@@ -275,46 +310,43 @@ def build_model(variant="T", num_classes: int = 1000, seed: int = 0, dtype=None)
         norm=init_batch_norm(spec.stem_channels, dt),
         conv2=init_conv(rng, 3, spec.stem_channels, spec.stem_channels, stride=1, bias=True, dtype=dt),
     )
-    stages: list[list[MaxVitBlockParams]] = []
-    cin = spec.stem_channels
-    for stage in spec.stages:
-        blocks = []
-        for b in range(stage.depth):
-            stride = 2 if b == 0 else 1
-            blocks.append(init_stage_block(rng, spec, cin, stage.channels, stride, dt))
-            cin = stage.channels
-        stages.append(blocks)
+    # Pieces are drawn in execution order, so parameter draws follow the data path.
+    stages: list[list[MaxVitBlockParams]] = [[] for _ in spec.stages]
+    for (si, _), pieces in itertools.groupby(block_pieces(spec), key=lambda p: (p.stage, p.block)):
+        parts = {p.piece: _init_piece(rng, spec, p, dt) for p in pieces}
+        stages[si].append(MaxVitBlockParams(order=spec.block_order, **parts))
     head = init_linear(rng, spec.stages[-1].channels, num_classes, bias=True, dtype=dt)
     return MaxVitModel(spec, num_classes, seed, stem, stages, head)
 
 
-def validate_geometry(spec: VariantSpec, height: int, width: int) -> None:
+def validate_geometry(spec: VariantSpec, height: int, width: int) -> list[tuple[int, int]]:
     """Check the whole resolution schedule before any compute happens.
 
-    Raises PartitionError naming every stride-2 site with an odd extent and
-    every attention site whose extent the window/grid does not divide.
+    Returns the (h, w) extent that each piece of `block_pieces(spec)` reads, in
+    order, followed by the extent the head pools. Raises DimensionError for an
+    empty input, and PartitionError naming every stride-2 site with an odd
+    extent and every attention site whose extent the window/grid does not divide.
     """
+    if height < 1 or width < 1:
+        raise DimensionError(f"input extent ({height}, {width}) is empty")
     problems = []
     if height % 2 or width % 2:
         problems.append(f"stem downsample: extent ({height}, {width}) is odd")
     h, w = -(-height // 2), -(-width // 2)
-    for si, stage in enumerate(spec.stages):
-        for b in range(stage.depth):
-            for piece in spec.block_order:
-                if piece == "conv":
-                    if b == 0:
-                        if h % 2 or w % 2:
-                            problems.append(f"stage {si} block {b} downsample: extent ({h}, {w}) is odd")
-                        h, w = -(-h // 2), -(-w // 2)
-                else:
-                    size = spec.window if piece == "block_attn" else spec.grid_size
-                    kind = "block" if piece == "block_attn" else "grid"
-                    if h % size or w % size:
-                        problems.append(
-                            f"stage {si} block {b} {kind} attention: extent ({h}, {w}) not divisible by {size}"
-                        )
+    extents = []
+    for p in block_pieces(spec):
+        extents.append((h, w))
+        site = f"stage {p.stage} block {p.block}"
+        if p.stride == 2:
+            if h % 2 or w % 2:
+                problems.append(f"{site} downsample: extent ({h}, {w}) is odd")
+            h, w = -(-h // 2), -(-w // 2)
+        elif p.size is not None and (h % p.size or w % p.size):
+            kind = p.piece.removesuffix("_attn")
+            problems.append(f"{site} {kind} attention: extent ({h}, {w}) not divisible by {p.size}")
     if problems:
         raise PartitionError("; ".join(problems))
+    return extents + [(h, w)]
 
 
 def forward(model: MaxVitModel, images: Tensor, training: bool = False) -> Tensor:
@@ -404,35 +436,18 @@ def with_window(model: MaxVitModel, window: int, grid_size: Optional[int] = None
 # -- checkpoints --------------------------------------------------------------------------
 
 def _spec_to_dict(spec: VariantSpec) -> dict:
-    return {
-        "name": spec.name,
-        "stem_channels": spec.stem_channels,
-        "stages": [[s.depth, s.channels] for s in spec.stages],
-        "window": spec.window,
-        "grid_size": spec.grid_size,
-        "head_dim": spec.head_dim,
-        "conv_expansion": spec.conv_expansion,
-        "se_ratio": spec.se_ratio,
-        "mlp_expansion": spec.mlp_expansion,
-        "block_order": list(spec.block_order),
-    }
+    d = {f.name: getattr(spec, f.name) for f in fields(VariantSpec)}
+    d["stages"] = [[s.depth, s.channels] for s in spec.stages]
+    return d
 
 
-def _spec_from_dict(d: dict) -> VariantSpec:
+def _spec_from_dict(d) -> VariantSpec:
     try:
-        return VariantSpec(
-            name=d["name"],
-            stem_channels=d["stem_channels"],
-            stages=tuple(StageSpec(int(a), int(b)) for a, b in d["stages"]),
-            window=d["window"],
-            grid_size=d["grid_size"],
-            head_dim=d["head_dim"],
-            conv_expansion=d["conv_expansion"],
-            se_ratio=d["se_ratio"],
-            mlp_expansion=d["mlp_expansion"],
-            block_order=tuple(d["block_order"]),
-        )
-    except (KeyError, TypeError) as e:
+        kw = {f.name: d[f.name] for f in fields(VariantSpec)}
+        kw["stages"] = tuple(StageSpec(*s) for s in kw["stages"])
+        kw["block_order"] = tuple(kw["block_order"])
+        return resolve_variant(VariantSpec(**kw))
+    except (KeyError, TypeError, ConfigError) as e:
         raise DataError(f"malformed variant record in manifest: {e}") from e
 
 
@@ -475,8 +490,13 @@ def load_model(directory) -> MaxVitModel:
         num_classes, seed = manifest["num_classes"], manifest["seed"]
     except KeyError as e:
         raise DataError(f"manifest.json in {directory} has no {e} entry") from e
-    dt = np.float64 if manifest.get("dtype") == "f64" else np.float32
-    model = build_model(spec, num_classes=num_classes, seed=seed, dtype=dt)
+    if manifest.get("dtype") not in ("f32", "f64"):
+        raise DataError(f"manifest.json in {directory} has dtype {manifest.get('dtype')!r}, not 'f32' or 'f64'")
+    dt = np.float64 if manifest["dtype"] == "f64" else np.float32
+    try:
+        model = build_model(spec, num_classes=num_classes, seed=seed, dtype=dt)
+    except ConfigError as e:
+        raise DataError(f"manifest.json in {directory}: {e}") from e
 
     slots = list(_walk(model))
     for field, kind in (("parameters", "param"), ("buffers", "buffer")):

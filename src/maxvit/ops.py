@@ -101,6 +101,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, s: float) -> Tensor:
+    if not isinstance(s, numbers.Real):
+        raise DataError(f"scale: factor must be a real number, got {s!r}")
     s = float(s)
     out = _out(x.data * x.dtype.type(s), "scale")
     record(out, (x,), lambda g: (g * s,))
@@ -147,16 +149,18 @@ def transpose(x: Tensor, perm: tuple[int, ...]) -> Tensor:
     if not all(isinstance(a, (int, np.integer)) for a in perm) or sorted(perm) != list(range(x.ndim)):
         raise DimensionError(f"transpose: {perm} is not a permutation of the axes of rank-{x.ndim} input")
     inverse = tuple(int(a) for a in np.argsort(perm))
-    out = Tensor(np.ascontiguousarray(x.data.transpose(perm)))
-    record(out, (x,), lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
+    out = Tensor(x.data.transpose(perm).copy())
+    record(out, (x,), lambda g: (g.transpose(inverse).copy(),))
     return out
 
 
 def _norm_axes(axes, ndim) -> tuple[int, ...]:
     if axes is None:
         return tuple(range(ndim))
-    if isinstance(axes, int):
+    if isinstance(axes, (int, np.integer)):
         axes = (axes,)
+    if not isinstance(axes, (tuple, list)) or not all(isinstance(a, (int, np.integer)) for a in axes):
+        raise DimensionError(f"reduction axes must be integers, got {axes!r}")
     if any(not -ndim <= a < ndim for a in axes):
         raise DimensionError(f"reduction axes {axes} out of range for rank {ndim}")
     out = tuple(sorted(a % ndim for a in axes))
@@ -747,13 +751,15 @@ def emd_loss(p: Tensor, q: Tensor, r: float = 2.0) -> Tensor:
     _same_dtype("emd_loss", p, q)
     if not isinstance(r, numbers.Real) or not 1.0 <= r < np.inf:
         raise DataError(f"emd_loss: order r must be a finite number >= 1, got {r!r}")
+    if p.size == 0:
+        raise DimensionError(f"emd_loss: empty input of shape {p.shape}")
     n = p.shape[-1]
     diff = np.cumsum(p.data - q.data, axis=-1)
     powed = np.abs(diff) ** r
     inner = powed.mean(axis=-1)
     per = inner ** (1.0 / r)
     out = _out(np.asarray(per.mean(), dtype=p.dtype), "emd_loss")
-    batch = max(per.size, 1)
+    batch = per.size
 
     def backward(g):
         # d per / d diff_k = per**(1-r)/N * |d_k|^(r-1) * sign(d_k); reverse-cumsum maps to p.

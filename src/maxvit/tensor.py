@@ -19,8 +19,6 @@ __all__ = [
     "tensor",
     "zeros",
     "ones",
-    "full",
-    "arange",
     "default_dtype",
     "set_default_dtype",
     "debug_checks_enabled",
@@ -128,14 +126,6 @@ def zeros(shape, dtype=None) -> Tensor:
 
 def ones(shape, dtype=None) -> Tensor:
     return Tensor(np.ones(shape, dtype=dtype or default_dtype()))
-
-
-def full(shape, value: float, dtype=None) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=dtype or default_dtype()))
-
-
-def arange(n: int, dtype=None) -> Tensor:
-    return Tensor(np.arange(n, dtype=dtype or default_dtype()))
 
 
 # -- serialization ----------------------------------------------------------

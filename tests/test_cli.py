@@ -77,8 +77,16 @@ def test_describe_unknown_variant_is_usage_error(capsys):
 
 
 def test_describe_bad_resolution_is_usage_error(capsys):
-    assert main(["describe", "--variant", "T", "--res", "200"]) == 2
-    assert "error" in capsys.readouterr().err
+    for res in ("200", "0", "-32"):
+        assert main(["describe", "--variant", "T", "--res", res]) == 2
+        assert "multiple of 32" in capsys.readouterr().err
+
+
+def test_describe_takes_no_seed(capsys):
+    # describe is analytic: a seed would change nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["describe", "--seed", "0"])
+    assert exc.value.code == 2
 
 
 def test_describe_out_writes_json_file(tmp_path, capsys):

@@ -3,9 +3,10 @@
 import pytest
 
 from maxvit.checks import check_attention_macs_quadruple, check_block_grid_parity, check_golden_macs, check_golden_params
-from maxvit.counting import count_flops, count_model, count_params
+from maxvit.counting import count_model, count_params
+from maxvit.errors import PartitionError
 from maxvit.golden import GOLDEN_MACS
-from maxvit.model import VARIANTS, StageSpec, VariantSpec, build_model
+from maxvit.model import VARIANTS, StageSpec, VariantSpec, build_model, validate_geometry
 
 
 @pytest.mark.parametrize("name", ["T", "S", "B", "L", "XL"])
@@ -71,9 +72,28 @@ def test_attention_macs_quadruple_when_resolution_doubles():
 
 def test_total_macs_scale_subquadratically():
     # global attention would be x16 in the attention matmuls; linear layers x4
-    a = count_flops("T", 224, window=7)
-    b = count_flops("T", 448, window=7)
+    a = count_model("T", 224, window=7).total_macs
+    b = count_model("T", 448, window=7).total_macs
     assert 3.9 < b / a < 4.1
+
+
+def _rejects(call) -> bool:
+    try:
+        call()
+    except PartitionError:
+        return True
+    return False
+
+
+def test_count_raises_exactly_where_the_geometry_check_does():
+    # 100 -> 50 -> 25: stage 0's downsample reads an odd extent, so forward raises
+    with pytest.raises(PartitionError):
+        count_model("T", 100)
+    spec = VARIANTS["T"]
+    for res in range(32, 452, 4):
+        assert _rejects(lambda: count_model(spec, res, window=7)) == _rejects(
+            lambda: validate_geometry(spec, res, res)
+        ), res
 
 
 def test_stage_totals_partition_the_model():

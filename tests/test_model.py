@@ -1,6 +1,7 @@
 """Backbone construction, forward geometry, determinism, checkpoints, variants."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from maxvit.model import (
     VARIANTS,
     StageSpec,
     VariantSpec,
+    block_pieces,
     build_model,
     default_window,
     forward,
@@ -147,6 +149,8 @@ def test_forward_checks_geometry_before_compute():
     model = build_model(MINI, num_classes=2)
     with pytest.raises(PartitionError):
         forward(model, _images(1, 20))  # 20 -> 10 -> 5: window 2 cannot tile 5
+    with pytest.raises(DimensionError):
+        forward(model, Tensor(np.zeros((1, 0, 0, 3), np.float32)))
 
 
 def test_training_mode_updates_running_stats():
@@ -183,14 +187,47 @@ def test_block_orders_build_and_run(order):
     spec = VariantSpec("mini_o", 8, (StageSpec(1, 8), StageSpec(1, 16)), window=2, grid_size=2, head_dim=4, block_order=order)
     model = build_model(spec, num_classes=2, seed=0)
     assert forward(model, _images(1, 16)).shape == (1, 2)
-    # analytic count mirrors the real build for every order
-    assert count_model(spec, 16, num_classes=2).total_params == count_params(model)
+    # analytic count and the real build share the schedule for every order:
+    # each record's params are the sizes of the parameters under its dotted name
+    count = count_model(spec, 16, num_classes=2)
+    assert count.total_params == count_params(model)
+    params = named_parameters(model)
+    for rec in count.layers:
+        built = sum(t.size for name, t in params if name == rec.name or name.startswith(rec.name + "."))
+        assert built == rec.params, rec.name
 
 
 def test_bad_block_order_rejected():
     spec = VariantSpec("dup", 8, (StageSpec(1, 8),), window=2, grid_size=2, head_dim=4, block_order=("conv", "conv", "grid_attn"))
     with pytest.raises(ConfigError):
         build_model(spec)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"window": "7"}, {"grid_size": 2.0}, {"stem_channels": True}, {"head_dim": 0}, {"se_ratio": None},
+        {"stages": (StageSpec(1, "8"),)}, {"stages": ((1, 8),)}, {"block_order": (1, "conv", "grid_attn")},
+        {"name": 3},
+    ],
+    ids=[
+        "window-str", "grid-float", "stem-bool", "head-dim-zero", "se-ratio-none",
+        "stage-channels-str", "stage-not-spec", "block-order-int", "name-int",
+    ],
+)
+def test_variant_spec_rejects_malformed_fields(bad):
+    with pytest.raises(ConfigError):
+        build_model(replace(MINI, **bad))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"num_classes": "2"}, {"num_classes": 2.0}, {"seed": -1}, {"seed": "0"}],
+    ids=["classes-str", "classes-float", "seed-negative", "seed-str"],
+)
+def test_build_model_rejects_malformed_classes_and_seed(kwargs):
+    with pytest.raises(ConfigError):
+        build_model(MINI, **kwargs)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -207,6 +244,13 @@ def test_checkpoint_roundtrip(tmp_path):
     for (na, ba), (nb, bb) in zip(named_buffers(model), named_buffers(back)):
         assert np.array_equal(ba, bb), na
     np.testing.assert_allclose(forward(back, _images(1, 16, seed=8)).data, logits_before, atol=0)
+    # the variant record keeps its on-disk layout
+    record = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())["variant"]
+    assert list(record.items()) == [
+        ("name", "mini"), ("stem_channels", 8), ("stages", [[1, 8], [1, 16]]), ("window", 2), ("grid_size", 2),
+        ("head_dim", 4), ("conv_expansion", 4), ("se_ratio", 0.25), ("mlp_expansion", 4),
+        ("block_order", ["conv", "block_attn", "grid_attn"]),
+    ]
 
 
 def _edit_manifest(ckpt, edit):
@@ -231,10 +275,16 @@ def _truncate_payload(ckpt):
         lambda ckpt: (ckpt / "stem.norm.running_var.tensor").unlink(),
         lambda ckpt: _edit_manifest(ckpt, lambda m: m.pop("seed")),
         lambda ckpt: (ckpt / "manifest.json").write_text("[]"),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m["variant"].update(stages=[[1]])),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m["variant"].update(window="7")),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m["variant"].update(se_ratio=None)),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(num_classes="2")),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(dtype="f16")),
     ],
     ids=[
         "truncated-payload", "no-manifest", "truncated-buffer-list", "parameter-listed-as-buffer",
         "buffer-wrong-shape", "missing-tensor-file", "manifest-missing-seed", "manifest-not-object",
+        "stage-entry-short", "window-string", "se-ratio-null", "num-classes-string", "dtype-f16",
     ],
 )
 def test_checkpoint_rejects_corruption(tmp_path, corrupt):
@@ -280,6 +330,9 @@ def test_with_window_copy_owns_its_running_stats():
 
 
 def test_toy_variant_geometry():
-    validate_geometry(TOY_VARIANT, 112, 112)
+    # the extent each piece of the schedule reads, then the one the head pools
+    extents = validate_geometry(TOY_VARIANT, 112, 112)
+    assert len(extents) == len(list(block_pieces(TOY_VARIANT))) + 1 == 10
+    assert extents[0] == (56, 56) and extents[1] == extents[3] == (28, 28) and extents[-1] == (7, 7)
     model = build_model(TOY_VARIANT, num_classes=2, seed=0)
     assert forward(model, _images(1, 112)).shape == (1, 2)

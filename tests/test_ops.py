@@ -155,6 +155,14 @@ def test_transpose_forward_and_inverse_permutation_backward():
         assert y.data[k, i, l, j] == x.data[i, j, k, l] and g.data[i, j, k, l] == c[k, i, l, j]
 
 
+def test_transpose_keeps_rank_zero():
+    x = _t64(2.5)
+    with GradTape() as tape:
+        y = ops.transpose(x, ())
+    (g,) = tape.gradient(y, [x])
+    assert y.shape == g.shape == () and y.item() == 2.5 and g.item() == 1.0
+
+
 @pytest.mark.parametrize(
     "perm", [(0, 1), (0, 1, 2, 3), (0, 1, 1), (0, 1, 3), (-1, 0, 1), (0, 1.0, 2), ("0", 1, 2)],
     ids=["short", "long", "repeated", "out-of-range", "negative", "float", "str"],
@@ -578,11 +586,17 @@ def test_non_positive_stride_or_pool_size_rejected(call, error):
         (lambda: ops.layer_norm(_t64(1.0), _t64(np.ones(1)), _t64(np.zeros(1))), DimensionError),
         (lambda: ops.emd_loss(_t64(1.0), _t64(1.0)), DimensionError),
         (lambda: ops.emd_loss(_t64([0.5, 0.5]), _t64([0.2, 0.8]), r=float("nan")), DataError),
+        (lambda: ops.emd_loss(_t64(np.zeros((0, 10))), _t64(np.zeros((0, 10)))), DimensionError),
+        (lambda: ops.emd_loss(_t64(np.zeros((3, 0))), _t64(np.zeros((3, 0)))), DimensionError),
+        (lambda: ops.reduce_sum(_t64(np.ones((2, 3))), axes=(0.5,)), DimensionError),
+        (lambda: ops.reduce_mean(_t64(np.ones((2, 3))), axes="0"), DimensionError),
+        (lambda: ops.scale(_t64(np.ones(2)), "a"), DataError),
         (lambda: ops.conv2d(_t64(np.zeros((1, 4, 4, 2))), _t64(np.ones((3, 3, 2, 2))), stride=1.5), ConfigError),
         (lambda: ops.depthwise_conv2d(_t64(np.zeros((1, 4, 4, 2))), _t64(np.ones((3, 3, 2))), stride=1.5), ConfigError),
     ],
     ids=[
         "reshape-negative-extents", "cross-entropy-empty-batch", "layer-norm-0d", "emd-0d", "emd-r-nan",
+        "emd-empty-batch", "emd-zero-bins", "reduce-sum-float-axis", "reduce-mean-str-axes", "scale-str",
         "conv-stride-1.5", "depthwise-stride-1.5",
     ],
 )
