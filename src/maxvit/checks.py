@@ -421,17 +421,24 @@ GELU_F32_BOUND = 5e-7  # |f32 gelu - exact gelu| <= bound * max(1, |x|)
 
 def _check_gelu_f32_matches_exact():
     x = np.linspace(-12.0, 12.0, 4_000_001).astype(np.float32)
-    got = ops.gelu(Tensor(x)).data
-    assert got.dtype == np.float32, f"f32 gelu returned {got.dtype}"
-    x64 = x.astype(np.float64)
-    err = np.abs(got - ops.gelu(Tensor(x64)).data) / np.maximum(1.0, np.abs(x64))
-    worst = int(err.argmax())
-    assert err[worst] <= GELU_F32_BOUND, f"f32 gelu error {err[worst]:.3e} * max(1, |x|) at x={x[worst]}"
+    bias = np.linspace(-1.5, 1.5, 61).astype(np.float32)
+    rows = x[:x.size // bias.size * bias.size].reshape(-1, bias.size)
+    # plain, and with a per-channel bias added inside the blocked loop: against the exact GELU of the f32 input
+    for name, got, pre in (
+        ("gelu(x)", ops.gelu(Tensor(x)).data, x),
+        ("gelu(x, bias)", ops.gelu(Tensor(rows), Tensor(bias)).data, rows + bias),
+    ):
+        assert got.dtype == np.float32, f"f32 {name} returned {got.dtype}"
+        pre64 = pre.astype(np.float64)
+        err = np.abs(got - ops.gelu(Tensor(pre64)).data) / np.maximum(1.0, np.abs(pre64))
+        worst = np.unravel_index(int(err.argmax()), err.shape)
+        assert err[worst] <= GELU_F32_BOUND, f"f32 {name} error {err[worst]:.3e} * max(1, |y|) at y={pre[worst]}"
     # the f32 helper directly: ops.gelu rejects non-finite outputs under MAXVIT_DEBUG=1
     special = np.array([np.inf, -np.inf, np.nan], np.float32)
     with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0, as in the exact form
-        got = ops._gelu_f32(special)[0]
-    assert np.array_equal(got, [np.inf, np.nan, np.nan], equal_nan=True), f"gelu(inf, -inf, nan) = {got}"
+        for steps in ((), ((np.add, np.float32([0.5, -0.5, 1.0])),)):
+            got = ops._gelu_f32(special, steps)[0]
+            assert np.array_equal(got, [np.inf, np.nan, np.nan], equal_nan=True), f"gelu(inf, -inf, nan) = {got}"
 
 
 # -- training suite --------------------------------------------------------------------

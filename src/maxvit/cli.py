@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from statistics import median
 from typing import Optional
 
@@ -22,7 +23,9 @@ from .checks import attention_records, run_checks, suite_names
 from .counting import count_model
 from .errors import ConfigError, MaxVitError, PartitionError
 from .golden import GOLDEN_MACS, GOLDEN_PARAMS, MACS_TOLERANCE, PARAM_TOLERANCE, within
-from .model import VARIANTS, build_model, default_window, forward, resolve_variant, with_window
+from .model import (
+    VARIANTS, block_pieces, build_model, default_window, forward, resolve_variant, validate_geometry, with_window,
+)
 from .tensor import Tensor, default_dtype
 from .train import TOY_LOSS_TARGET, TOY_STEPS, train_toy
 
@@ -44,21 +47,22 @@ def _emit(report: dict, args, text: str) -> None:
 
 def _describe_report(variant: str, resolution: int, num_classes: int) -> dict:
     count = count_model(variant, resolution, num_classes, window=default_window(resolution))
-    spec = resolve_variant(variant)
+    spec = replace(resolve_variant(variant), window=count.window, grid_size=count.grid_size)
     totals = count.stage_totals()
+    extents = validate_geometry(spec, resolution, resolution)
+    # each piece's output extent is the next one's input; a stage's is its last piece's
+    stage_out = {p.stage: h for p, (h, _) in zip(block_pieces(spec), extents[1:])}
 
     stages = []
     p, m = totals["stem"]
     stages.append(
-        {"name": "stem", "out_resolution": resolution // 2, "channels": spec.stem_channels,
+        {"name": "stem", "out_resolution": extents[0][0], "channels": spec.stem_channels,
          "depth": None, "params": p, "macs": m}
     )
-    res = resolution // 2
     for si, st in enumerate(spec.stages):
-        res //= 2
         p, m = totals[f"stage{si}"]
         stages.append(
-            {"name": f"stage{si + 1}", "out_resolution": res, "channels": st.channels,
+            {"name": f"stage{si + 1}", "out_resolution": stage_out[si], "channels": st.channels,
              "depth": st.depth, "params": p, "macs": m}
         )
     p, m = totals["head"]

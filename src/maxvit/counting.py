@@ -19,7 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .model import MaxVitModel, block_pieces, default_window, named_parameters, resolve_variant, validate_geometry
+from .errors import ConfigError
+from .model import (
+    MaxVitModel, _int_at_least, block_pieces, default_window, named_parameters, resolve_variant, validate_geometry,
+)
 
 __all__ = ["LayerCount", "ModelCount", "count_model", "count_params"]
 
@@ -105,9 +108,15 @@ def count_model(variant, resolution: int = 224, num_classes: int = 1000, window:
 
     `window` sets both the window and the grid size; by default it is the
     resolution's `default_window` when the resolution is a multiple of 32,
-    else the variant's own. Raises PartitionError wherever `forward` would.
+    else the variant's own. Raises PartitionError wherever `forward` would,
+    and ConfigError for a class count `build_model` rejects or a resolution
+    that is not a positive integer.
     """
     spec = resolve_variant(variant)
+    if not _int_at_least(num_classes):
+        raise ConfigError(f"num_classes must be a positive integer, got {num_classes!r}")
+    if not _int_at_least(resolution):
+        raise ConfigError(f"resolution must be a positive integer, got {resolution!r}")
     if window is None and resolution % 32 == 0:
         window = default_window(resolution)
     if window is not None:

@@ -108,6 +108,7 @@ def primitive_cases(seed: int = 0):
         ("reduce_sum", lambda x: ops.reduce_sum(ops.mul(x, x)), [t(3, 4)]),
         ("reduce_mean_axes", lambda x: ops.reduce_mean(ops.reduce_mean(ops.mul(x, x), axes=(1,))), [t(3, 4)]),
         ("gelu", lambda x: mean(ops.gelu(x)), [t(4, 5)]),
+        ("gelu_bias", lambda x, b: mean(ops.mul(ops.gelu(x, b), x)), [t(3, 5), t(5)]),
         ("silu", lambda x: mean(ops.silu(x)), [t(4, 5)]),
         ("sigmoid", lambda x: mean(ops.sigmoid(x)), [t(4, 5)]),
         ("softmax_lastdim", lambda x: mean(ops.mul(ops.softmax_lastdim(x), x)), [t(3, 6)]),
@@ -120,6 +121,16 @@ def primitive_cases(seed: int = 0):
         (
             "batch_norm_inference",
             lambda x, g, b: mean(ops.mul(ops.batch_norm_inference(x, g, b, _FROZEN_MEAN, _FROZEN_VAR), x)),
+            [t(2, 3, 3, 4), t(4), t(4)],
+        ),
+        (
+            "batch_norm_train_gelu",
+            lambda x, g, b: mean(ops.mul(ops.batch_norm_train(x, g, b, gelu=True)[0], x)),
+            [t(2, 3, 3, 4), t(4), t(4)],
+        ),
+        (
+            "batch_norm_inference_gelu",
+            lambda x, g, b: mean(ops.mul(ops.batch_norm_inference(x, g, b, _FROZEN_MEAN, _FROZEN_VAR, gelu=True), x)),
             [t(2, 3, 3, 4), t(4), t(4)],
         ),
         ("conv2d_3x3", lambda x, w, b: mean(ops.conv2d(x, w, b)), [t(2, 5, 5, 2), t(3, 3, 2, 3), t(3)]),

@@ -202,9 +202,9 @@ def init_mbconv(rng, cin: int, cout: int, stride: int, expansion: int, se_ratio:
 def mbconv_forward(x: Tensor, p: MbConvParams, training: bool = False) -> Tensor:
     y = batch_norm(x, p.pre_norm, training)
     y = conv(y, p.expand)
-    y = ops.gelu(batch_norm(y, p.norm1, training))
+    y = batch_norm(y, p.norm1, training, gelu=True)
     y = depthwise(y, p.dw)
-    y = ops.gelu(batch_norm(y, p.norm2, training))
+    y = batch_norm(y, p.norm2, training, gelu=True)
     y = se_module(y, p.se)
     y = conv(y, p.proj)
     if p.stride == 2:
@@ -355,7 +355,7 @@ def forward(model: MaxVitModel, images: Tensor, training: bool = False) -> Tenso
         raise DimensionError(f"forward expects (batch, H, W, 3) images, got {images.shape}")
     validate_geometry(model.variant, images.shape[1], images.shape[2])
     x = conv(images, model.stem.conv1)
-    x = ops.gelu(batch_norm(x, model.stem.norm, training))
+    x = batch_norm(x, model.stem.norm, training, gelu=True)
     x = conv(x, model.stem.conv2)
     for blocks in model.stages:
         for blk in blocks:

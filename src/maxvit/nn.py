@@ -11,7 +11,7 @@ biases, ones/zeros for norm affines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -87,10 +87,11 @@ def init_batch_norm(channels: int, dtype=None) -> BatchNormParams:
     )
 
 
-def batch_norm(x: Tensor, p: BatchNormParams, training: bool = False) -> Tensor:
+def batch_norm(x: Tensor, p: BatchNormParams, training: bool = False, gelu: bool = False) -> Tensor:
+    """Batch norm, then GELU when `gelu`, as one fused op (see `ops.batch_norm_train`)."""
     if not training:
-        return ops.batch_norm_inference(x, p.gamma, p.beta, p.running_mean, p.running_var, p.eps)
-    out, mean, var = ops.batch_norm_train(x, p.gamma, p.beta, p.eps)
+        return ops.batch_norm_inference(x, p.gamma, p.beta, p.running_mean, p.running_var, p.eps, gelu=gelu)
+    out, mean, var = ops.batch_norm_train(x, p.gamma, p.beta, p.eps, gelu=gelu)
     # exponential running stats; the only in-place state update in the model
     p.running_mean = p.momentum * p.running_mean + (1.0 - p.momentum) * mean
     p.running_var = p.momentum * p.running_var + (1.0 - p.momentum) * var
@@ -166,8 +167,8 @@ def init_mlp(rng, channels: int, expansion: int = 4, dtype=None) -> MlpParams:
 
 
 def mlp_ffn(x: Tensor, p: MlpParams) -> Tensor:
-    """Position-wise feed-forward: fc2(gelu(fc1(x)))."""
-    return linear(ops.gelu(linear(x, p.fc1)), p.fc2)
+    """Position-wise feed-forward: fc2(gelu(fc1(x))); fc1's bias is added inside the GELU loop."""
+    return linear(ops.gelu(linear(x, replace(p.fc1, bias=None)), p.fc1.bias), p.fc2)
 
 
 # -- squeeze-excitation -----------------------------------------------------------------

@@ -198,7 +198,7 @@ def reduce_mean(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 
 # -- activations ----------------------------------------------------------------
 
-_GELU_BLOCK = 1 << 15  # elements per block: a block's six f32 arrays fit in L2
+_GELU_BLOCK = 1 << 15  # elements per block: a block's arrays, the tiled operands too, fit in L2
 
 # erf(z) ~ z * P(z^2) / Q(z^2) on [-4, 4]: the f32 minimax rational of Eigen's
 # generic_fast_erf_float (also used by XLA). Outside [-4, 4] erf is +-1 in f32.
@@ -223,24 +223,62 @@ def _horner(coeffs, t: np.ndarray, acc: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _gelu_f32(x: np.ndarray, keep_cdf: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """(x * Phi(x), Phi(x)) for f32 `x`, with the rational erf, one block at a time.
+def _apply(steps, src: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """A per-channel map given as [(ufunc, operand), ...]: the first step reads
+    `src` into `buf`, the rest run in place on it. No steps return `src`."""
+    for k, (f, a) in enumerate(steps):
+        f(buf if k else src, a, out=buf)
+    return buf if steps else src
 
-    Each block's intermediates stay in cache; |error| <= 5e-7 * max(1, |x|)
+
+def _row_blocks(x: np.ndarray, per_channel: bool, *step_lists, scratch: int = 0):
+    """x as (rows, C), or as one column when nothing is per channel; the rows
+    per block, so that a block holds about `_GELU_BLOCK` elements; each step
+    list with its (C,) operands tiled to one block of rows; and `scratch`
+    block buffers. Cut with `_cut`, the block ops run on same-shape operands,
+    two or three times faster than a (C,) broadcast for the small C of this
+    model. Tiles and scratch share one allocation: with one small heap chunk
+    per buffer between the full-size arrays, the toy training step's peak
+    RSS varied from run to run (by up to 72 MB on a 2-vCPU x86_64 VM).
+    """
+    c = x.shape[-1] if per_channel else 1
+    rows = x.reshape(-1 if c else 0, c)
+    step = max(1, _GELU_BLOCK // max(c, 1))
+    bufs = iter(np.empty((sum(map(len, step_lists)) + scratch, min(step, len(rows)), c), x.dtype))
+    tiled = [[(f, _fill(next(bufs), a)) for f, a in steps] for steps in step_lists]
+    return rows, step, tiled, list(bufs)
+
+
+def _fill(buf: np.ndarray, a: np.ndarray) -> np.ndarray:
+    buf[...] = a
+    return buf
+
+
+def _cut(steps, n: int):
+    """Tiled steps cut to the n rows of a block."""
+    return [(f, a[:n]) for f, a in steps]
+
+
+def _gelu_f32(x: np.ndarray, steps=(), keep_cdf: bool = True, out: np.ndarray | None = None):
+    """(y * Phi(y), Phi(y)) for y = steps(x), f32, with the rational erf, one block at a time.
+
+    `steps` is a per-channel pre-activation ([(ufunc, (C,) operand), ...], see
+    `_apply`) formed per block of rows in cache, in the op order of the
+    separate op, so y has its bits: a batch norm or a bias add then costs no
+    full-size pass and no full-size output. |error| <= 5e-7 * max(1, |y|)
     against the exact-erf GELU (checked by `checks.gelu_f32_matches_exact`).
     Without `keep_cdf`, Phi lives in one block of scratch and None is returned
-    for it; the output is the same bits either way.
+    for it; the output is the same bits either way. `out` may be x itself.
     """
-    flat = x.reshape(-1)
-    out = np.empty_like(flat)
-    block = min(flat.size, _GELU_BLOCK)
-    cdf = np.empty_like(flat) if keep_cdf else np.empty(block, np.float32)
-    z, t, q = (np.empty(block, np.float32) for _ in range(3))
-    for lo in range(0, flat.size, _GELU_BLOCK):
-        xb = flat[lo:lo + _GELU_BLOCK]
-        n = xb.size
-        zb, tb, qb, cb = z[:n], t[:n], q[:n], cdf[lo:lo + n] if keep_cdf else cdf[:n]
-        np.multiply(xb, np.float32(_INV_SQRT2), out=zb)
+    xr, step, (steps,), (y, z, t, q, c) = _row_blocks(x, bool(steps), steps, scratch=5)
+    res = np.empty_like(xr) if out is None else out.reshape(xr.shape)
+    cdf = np.empty_like(xr) if keep_cdf else None
+    for lo in range(0, len(xr), step):
+        xb = xr[lo:lo + step]
+        n = len(xb)
+        yb = _apply(_cut(steps, n), xb, y[:n])
+        zb, tb, qb, cb = z[:n], t[:n], q[:n], cdf[lo:lo + n] if keep_cdf else c[:n]
+        np.multiply(yb, np.float32(_INV_SQRT2), out=zb)
         np.clip(zb, np.float32(-4.0), np.float32(4.0), out=zb)
         np.square(zb, out=tb)
         _horner(_ERF_P, tb, cb)
@@ -248,46 +286,81 @@ def _gelu_f32(x: np.ndarray, keep_cdf: bool = True) -> tuple[np.ndarray, np.ndar
         cb /= _horner(_ERF_Q, tb, qb)  # erf(z)
         cb *= np.float32(0.5)
         cb += np.float32(0.5)
-        np.multiply(xb, cb, out=out[lo:lo + n])
-    return out.reshape(x.shape), cdf.reshape(x.shape) if keep_cdf else None
+        np.multiply(yb, cb, out=res[lo:lo + n])
+    return res.reshape(x.shape), cdf.reshape(x.shape) if keep_cdf else None
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact-erf form: x * Phi(x), with Phi the standard normal CDF.
+def _gelu_forward(x: np.ndarray, steps=(), out: np.ndarray | None = None):
+    """(gelu(steps(x)), Phi) in x's dtype; f32 keeps Phi only under a tape.
 
-    f32 evaluates erf with a rational approximation (`_gelu_f32`); f64 uses
-    scipy's exact erf. With no tape active, f32 keeps no full-size Phi.
+    f32 runs `_gelu_f32`; f64 forms steps(x) on the whole array (into `out`
+    when given) and takes scipy's exact erf.
     """
     if x.dtype == np.float32:
-        y, cdf = _gelu_f32(x.data, keep_cdf=active_tape() is not None)
-    else:
-        cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-        y = x.data * cdf
-    out = _out(y, "gelu")
-    record(out, (x,), lambda g: (_gelu_grad(x.data, cdf, g),))
-    return out
+        return _gelu_f32(x, steps, keep_cdf=active_tape() is not None, out=out)
+    y = _apply(steps, x, np.empty_like(x) if out is None else out)
+    cdf = 0.5 * (1.0 + erf(y * _INV_SQRT2))
+    return y * cdf, cdf
 
 
-def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g * (cdf + x * pdf(x)), one block at a time with one block of scratch.
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray, steps=(), hat=(), from_hat: bool = False):
+    """Pass one of a GELU backward, in blocks: gy = g * (Phi + y * pdf(y)), y = steps(x).
 
-    The ops run in the order of the unblocked `g * (cdf + x * (exp(-0.5 * x**2)
-    * (1/sqrt(2 pi))))`, so the result is bitwise equal to it in f32 and f64.
+    y is rebuilt per block from x, or, with `from_hat`, from xhat = hat(x).
+    With per-channel steps it also returns the channel sums of gy and, with
+    `hat`, of gy * xhat (a batch norm's dbeta and dgamma), else None for them.
+    The ops after y run in the order of the unblocked `g * (cdf + y *
+    (exp(-0.5 * y**2) * (1/sqrt(2 pi))))`, so gy is the same bits as it.
     """
-    xf, cf, gf = x.reshape(-1), cdf.reshape(-1), g.reshape(-1)
-    out = np.empty_like(gf)
-    t = np.empty(min(xf.size, _GELU_BLOCK), x.dtype)
-    for lo in range(0, xf.size, _GELU_BLOCK):
-        xb = xf[lo:lo + _GELU_BLOCK]
-        tb = t[:xb.size]
-        np.square(xb, out=tb)
+    per_channel = bool(steps)
+    xr, step, (steps, hat), (h, y, t) = _row_blocks(x, per_channel, steps, hat, scratch=3)
+    cr, gr = cdf.reshape(xr.shape), g.reshape(xr.shape)
+    gy = np.empty_like(gr)
+    sg = np.zeros(xr.shape[1], x.dtype) if per_channel else None
+    sgx = np.zeros(xr.shape[1], x.dtype) if hat else None
+    for lo in range(0, len(xr), step):
+        xb = xr[lo:lo + step]
+        n = len(xb)
+        hb = _apply(_cut(hat, n), xb, h[:n])
+        yb = _apply(_cut(steps, n), hb if from_hat else xb, y[:n])
+        tb, gyb = t[:n], gy[lo:lo + n]
+        np.square(yb, out=tb)
         tb *= -0.5
         np.exp(tb, out=tb)
         tb *= _INV_SQRT_2PI  # pdf
-        tb *= xb
-        tb += cf[lo:lo + _GELU_BLOCK]
-        np.multiply(gf[lo:lo + _GELU_BLOCK], tb, out=out[lo:lo + _GELU_BLOCK])
-    return out.reshape(g.shape)
+        tb *= yb
+        tb += cr[lo:lo + n]
+        np.multiply(gr[lo:lo + n], tb, out=gyb)
+        if per_channel:
+            sg += _channel_sum(gyb)
+        if hat:
+            sgx += _channel_sum(gyb, hb)
+    return gy.reshape(g.shape), sg, sgx
+
+
+def gelu(x: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Exact-erf form: y * Phi(y), with Phi the standard normal CDF and y = x (+ bias).
+
+    f32 evaluates erf with a rational approximation (`_gelu_f32`); f64 uses
+    scipy's exact erf. A (C,) `bias` over x's last axis is added per block
+    inside the GELU loop, with the bits of `add(x, bias)`; the backward keeps
+    x and Phi, not the sum. With no tape active, f32 keeps no full-size Phi.
+    """
+    steps = ()
+    if bias is not None:
+        if not isinstance(bias, Tensor):
+            raise DataError(f"gelu: bias must be a Tensor, got {type(bias).__name__}")
+        if x.ndim < 1 or bias.shape != x.shape[-1:]:
+            raise DimensionError(f"gelu: bias shape {bias.shape} does not match the last axis of {x.shape}")
+        _same_dtype("gelu", x, bias)
+        steps = ((np.add, bias.data),)
+    y, cdf = _gelu_forward(x.data, steps)
+    out = _out(y, "gelu")
+    if bias is None:
+        record(out, (x,), lambda g: (_gelu_grad(x.data, cdf, g)[0],))
+    else:
+        record(out, (x, bias), lambda g: _gelu_grad(x.data, cdf, g, steps)[:2])
+    return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -336,9 +409,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     The forward centres one copy of x, takes the variance from it (the same
     bits as `x.var`) and scales and shifts it in place into the output. The
-    backward keeps x and the per-row mean and 1/std, and rebuilds xhat from
-    them with the forward's ops, so its gradients are the same bits as with
-    a stored xhat.
+    backward keeps x and the per-row mean and 1/std, rebuilds xhat from them
+    with the forward's ops and forms dx in place on `g * gamma`, with one
+    more input-sized buffer for the products that its reductions read; its
+    gradients are the same bits as the unfused formula over a stored xhat.
     """
     _check_rank("layer_norm", x, 1, "(..., features)", at_least=True)
     c = x.shape[-1]
@@ -355,14 +429,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     out = _out(y, "layer_norm")
 
     def backward(g):
+        # dx = (gx - mean(gx) - xhat * mean(gx * xhat)) * inv, gx = g * gamma
         xhat = x.data - mean
         xhat *= inv
-        gx = g * gamma.data
-        m1 = gx.mean(axis=-1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-        dx = (gx - m1 - xhat * m2) * inv
+        dx = g * gamma.data
+        prod = dx * xhat
+        m2 = prod.mean(axis=-1, keepdims=True)
+        m1 = dx.mean(axis=-1, keepdims=True)
         red = tuple(range(g.ndim - 1))
-        return dx, (g * xhat).sum(axis=red), g.sum(axis=red)
+        dgamma = np.multiply(g, xhat, out=prod).sum(axis=red)
+        xhat *= m2
+        dx -= m1
+        dx -= xhat
+        dx *= inv
+        return dx, dgamma, g.sum(axis=red)
 
     record(out, (x, gamma, beta), backward)
     return out
@@ -394,7 +474,20 @@ def _check_channel_params(context: str, x: Tensor, **params) -> None:
             raise DataError(f"{context}: mixed dtypes {x.dtype} and {p.dtype} ({name})")
 
 
-def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
+def _bn_input_grad(gy: np.ndarray, x: np.ndarray, k: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """gy * k + (x * a + b) with (C,) k, a and b, in place on gy, one block of rows at a time."""
+    steps = [(np.multiply, k)], [(np.multiply, a), (np.add, b)]
+    gr, step, (scale, affine), (t,) = _row_blocks(gy, True, *steps, scratch=1)
+    xr = x.reshape(gr.shape)
+    for lo in range(0, len(gr), step):
+        gb = gr[lo:lo + step]
+        n = len(gb)
+        _apply(_cut(scale, n), gb, gb)
+        gb += _apply(_cut(affine, n), xr[lo:lo + n], t[:n])
+    return gy
+
+
+def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, gelu: bool = False):
     """Per-channel batch norm over (batch, height, width) of an NHWC tensor.
 
     Returns (out, batch_mean, batch_var) where the stats are plain arrays
@@ -403,16 +496,27 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     The backward keeps x and the per-channel mean and 1/std, not xhat: it
     rebuilds xhat with the forward's ops in the forward's order, so its
     gradients are the same bits as with a stored xhat.
+
+    With `gelu`, out is gelu(batch norm) from one blocked pass (`_gelu_f32`)
+    that scales, shifts and activates the centred copy in cache and writes
+    over it, so the batch-norm output never exists at full size; out has the
+    bits of the two separate ops. Its backward keeps x, the statistics and
+    Phi. Pass one rebuilds xhat and y per block, forms gy = g * gelu'(y) and
+    sums gy and gy * xhat per channel; pass two forms dx = gy * k + x * a + b
+    per block, with per-channel k, a and b folded from those sums.
     """
     _check_channel_params("batch_norm_train", x, gamma=gamma, beta=beta)
     n = x.shape[0] * x.shape[1] * x.shape[2]
     mean = _channel_sum(x.data) / n
-    y = x.data - mean  # the one owned copy: centred here, scaled and shifted in place below
+    y = x.data - mean  # the one owned copy: centred here, normalized (and activated) in place below
     var = _channel_sum(y, y) / n  # two-pass, as np.var
     inv = 1.0 / np.sqrt(var + eps)
-    y *= inv
-    y *= gamma.data
-    y += beta.data
+    hat = ((np.subtract, mean), (np.multiply, inv))
+    affine = ((np.multiply, gamma.data), (np.add, beta.data))
+    if gelu:
+        y, cdf = _gelu_forward(y, hat[1:] + affine, out=y)
+    else:
+        _apply(hat[1:] + affine, y, y)
     out = _out(y, "batch_norm_train")
 
     def backward(g):
@@ -426,32 +530,51 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
         dx *= gamma.data * inv
         return dx, sgx, sg
 
-    record(out, (x, gamma, beta), backward)
+    def backward_gelu(g):
+        # the same dx with g -> gy, regrouped as gy * k + x * a + b
+        dx, sg, sgx = _gelu_grad(x.data, cdf, g, affine, hat, from_hat=True)
+        k = gamma.data * inv
+        a = k * inv * (-sgx / n)
+        return _bn_input_grad(dx, x.data, k, a, -k * (sg / n) - a * mean), sgx, sg
+
+    record(out, (x, gamma, beta), backward_gelu if gelu else backward)
     return out, mean, var
 
 
 def batch_norm_inference(
-    x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, running_var: np.ndarray, eps: float = 1e-5
+    x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, running_var: np.ndarray, eps: float = 1e-5,
+    gelu: bool = False,
 ) -> Tensor:
     """Affine-only normalization with frozen stats; batch-independent by construction.
 
     Folded into one per-channel scale s = gamma / sqrt(var + eps) and shift
-    beta - mean * s, so the forward makes two passes over x.
+    beta - mean * s, so the forward makes two passes over x. With `gelu`,
+    out is gelu of that, formed per block in the GELU loop (`_gelu_f32`) with
+    the same bits as the two ops; its backward keeps x and Phi (under a tape
+    only), rebuilds y and xhat per block and returns dx = gy * s.
     """
     _check_channel_params(
         "batch_norm_inference", x, gamma=gamma, beta=beta, running_mean=running_mean, running_var=running_var
     )
     inv = 1.0 / np.sqrt(running_var + eps)
     s = gamma.data * inv
-    y = x.data * s
-    y += beta.data - running_mean * s
+    affine = ((np.multiply, s), (np.add, beta.data - running_mean * s))
+    if gelu:
+        y, cdf = _gelu_forward(x.data, affine)
+    else:
+        y = _apply(affine, x.data, np.empty_like(x.data))
     out = _out(y, "batch_norm_inference")
 
     def backward(g):
         xhat = (x.data - running_mean) * inv
         return g * s, _channel_sum(g, xhat), _channel_sum(g)
 
-    record(out, (x, gamma, beta), backward)
+    def backward_gelu(g):
+        dx, sg, sgx = _gelu_grad(x.data, cdf, g, affine, ((np.subtract, running_mean), (np.multiply, inv)))
+        dx *= s
+        return dx, sgx, sg
+
+    record(out, (x, gamma, beta), backward_gelu if gelu else backward)
     return out
 
 

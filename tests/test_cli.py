@@ -49,6 +49,7 @@ def test_describe_b384_uses_window_12(capsys):
     assert report["window"] == 12
     assert abs(report["macs"]["golden_gmacs"] - 74.2) < 1e-9
     assert report["macs"]["within_tolerance"] is True
+    assert [s["out_resolution"] for s in report["stages"]] == [192, 96, 48, 24, 12, 1]
 
 
 def test_describe_resolution_without_flop_reference(capsys):
@@ -80,6 +81,11 @@ def test_describe_bad_resolution_is_usage_error(capsys):
     for res in ("200", "0", "-32"):
         assert main(["describe", "--variant", "T", "--res", res]) == 2
         assert "multiple of 32" in capsys.readouterr().err
+
+
+def test_describe_non_positive_class_count_is_usage_error(capsys):
+    assert main(["describe", "--variant", "T", "--res", "224", "--num-classes", "0"]) == 2
+    assert "num_classes" in capsys.readouterr().err
 
 
 def test_describe_takes_no_seed(capsys):

@@ -14,6 +14,7 @@ from scipy.special import erf
 
 from maxvit import ops
 from maxvit.checks import GELU_F32_BOUND, _check_gelu_f32_matches_exact
+from maxvit.counting import count_model
 from maxvit.errors import ConfigError, DataError, DimensionError, PartitionError
 from maxvit.tape import GradTape
 from maxvit.tensor import Tensor, tensor
@@ -407,6 +408,55 @@ def test_batch_norm_rejects_misshaped_or_mixed_dtype_params(op, bad, error):
         _bn_call(op, **bad)
 
 
+def _frozen_stats(x):
+    rng = np.random.default_rng(31)
+    c = x.shape[-1]
+    return (rng.standard_normal(c) * 0.5).astype(x.dtype), (rng.random(c) + 0.5).astype(x.dtype)
+
+
+# form -> (separate ops, fused op), each (x, gamma, beta) -> Tensor
+_FUSED_FORMS = {
+    "train": (
+        lambda x, g, b: ops.gelu(ops.batch_norm_train(x, g, b)[0]),
+        lambda x, g, b: ops.batch_norm_train(x, g, b, gelu=True)[0],
+    ),
+    "inference": (
+        lambda x, g, b: ops.gelu(ops.batch_norm_inference(x, g, b, *_frozen_stats(x))),
+        lambda x, g, b: ops.batch_norm_inference(x, g, b, *_frozen_stats(x), gelu=True),
+    ),
+    "bias": (lambda x, g, b: ops.gelu(ops.add(x, b)), lambda x, g, b: ops.gelu(x, b)),
+}
+
+
+# (rows, C) over several GELU blocks with a partial last one, and one block
+@pytest.mark.parametrize("shape", [(3, 25, 29, 48), (2, 3, 3, 5)], ids=["blocks", "small"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("form", list(_FUSED_FORMS))
+def test_fused_gelu_matches_the_separate_ops(form, dtype, shape):
+    """The fused pass has the bits of the separate norm or bias and GELU, taped or
+    not, and gradients equal to theirs to rounding (the fused sums run per block)."""
+    rng = np.random.default_rng(30)
+    c = shape[-1]
+    x = Tensor((rng.standard_normal(shape) * 2.0 + 0.5).astype(dtype))
+    gamma, beta = (Tensor((rng.standard_normal(c) + k).astype(dtype)) for k in (1.0, 0.0))
+    w = Tensor(rng.standard_normal(shape).astype(dtype))
+    params = [x, gamma, beta] if form != "bias" else [x, beta]
+    results = []
+    for run in _FUSED_FORMS[form]:
+        with GradTape() as tape:
+            y = run(x, gamma, beta)
+            loss = ops.reduce_sum(ops.mul(y, w))
+        results.append((y.data, [t.data for t in tape.gradient(loss, params)]))
+    (y_sep, g_sep), (y_fused, g_fused) = results
+    assert y_fused.dtype == dtype and np.array_equal(y_fused, y_sep)
+    # without a tape f32 keeps Phi in one block of scratch; the output is the same bits
+    assert np.array_equal(_FUSED_FORMS[form][1](x, gamma, beta).data, y_sep)
+    tol = 5e-6 if dtype == np.float32 else 1e-13
+    for a, b in zip(g_fused, g_sep):
+        assert a.dtype == dtype and a.shape == b.shape
+        assert np.linalg.norm(a - b) <= tol * np.linalg.norm(b)
+
+
 def test_batch_norm_inference_is_batch_independent():
     rng = np.random.default_rng(9)
     gamma, beta = _t64(rng.standard_normal(4)), _t64(rng.standard_normal(4))
@@ -593,11 +643,21 @@ def test_non_positive_stride_or_pool_size_rejected(call, error):
         (lambda: ops.scale(_t64(np.ones(2)), "a"), DataError),
         (lambda: ops.conv2d(_t64(np.zeros((1, 4, 4, 2))), _t64(np.ones((3, 3, 2, 2))), stride=1.5), ConfigError),
         (lambda: ops.depthwise_conv2d(_t64(np.zeros((1, 4, 4, 2))), _t64(np.ones((3, 3, 2))), stride=1.5), ConfigError),
+        (lambda: ops.gelu(_t64(np.zeros((2, 3))), _t64(np.zeros(2))), DimensionError),
+        (lambda: ops.gelu(_t64(1.0), _t64(np.zeros(1))), DimensionError),
+        (lambda: ops.gelu(_t64(np.zeros((2, 3))), np.zeros(3)), DataError),
+        (lambda: ops.gelu(tensor(np.zeros((2, 3))), _t64(np.zeros(3))), DataError),
+        (lambda: count_model("T", 224, num_classes=0), ConfigError),
+        (lambda: count_model("T", 224, num_classes="a"), ConfigError),
+        (lambda: count_model("T", "224"), ConfigError),
+        (lambda: count_model("T", 0), ConfigError),
     ],
     ids=[
         "reshape-negative-extents", "cross-entropy-empty-batch", "layer-norm-0d", "emd-0d", "emd-r-nan",
         "emd-empty-batch", "emd-zero-bins", "reduce-sum-float-axis", "reduce-mean-str-axes", "scale-str",
-        "conv-stride-1.5", "depthwise-stride-1.5",
+        "conv-stride-1.5", "depthwise-stride-1.5", "gelu-bias-misshaped", "gelu-bias-0d-input", "gelu-bias-ndarray",
+        "gelu-bias-mixed-dtype", "count-zero-classes", "count-str-classes", "count-str-resolution",
+        "count-zero-resolution",
     ],
 )
 def test_misuse_raises_from_the_error_taxonomy(call, error):
