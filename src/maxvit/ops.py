@@ -79,8 +79,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from e
 
+    a_shape, b_shape = a.shape, b.shape
+
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     record(out, (a, b), backward)
     return out
@@ -139,7 +141,8 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         raise DimensionError(f"reshape: cannot view {x.shape} as {shape}")
     # The flat buffer is preserved bitwise; only the shape header changes.
     out = Tensor(x.data.reshape(shape))
-    record(out, (x,), lambda g: (g.reshape(x.shape),))
+    x_shape = x.shape
+    record(out, (x,), lambda g: (g.reshape(x_shape),))
     return out
 
 
@@ -172,11 +175,12 @@ def _norm_axes(axes, ndim) -> tuple[int, ...]:
 def reduce_sum(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     ax = _norm_axes(axes, x.ndim)
     out = _out(np.asarray(x.data.sum(axis=ax, keepdims=keepdims)), "reduce_sum")
+    x_shape = x.shape
 
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(g, x_shape).copy(),)
 
     record(out, (x,), backward)
     return out
@@ -186,11 +190,12 @@ def reduce_mean(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     ax = _norm_axes(axes, x.ndim)
     count = int(np.prod([x.shape[a] for a in ax], dtype=np.int64))
     out = _out(np.asarray(x.data.mean(axis=ax, keepdims=keepdims)), "reduce_mean")
+    x_shape = x.shape
 
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, x.shape).copy() / count,)
+        return (np.broadcast_to(g / count, x_shape).copy(),)  # divide the small cotangent, then spread it
 
     record(out, (x,), backward)
     return out
@@ -723,7 +728,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
         flat = x.data.reshape(bsz * h * wid, cin)
         y = flat @ w.data.reshape(cin, cout)
         if b is not None:
-            y = y + b.data
+            y += b.data  # in place on the fresh product
         out = _out(y.reshape(bsz, h, wid, cout), "conv2d")
 
         def backward1x1(g):
@@ -795,7 +800,7 @@ def avg_pool2d(x: Tensor, k: int) -> Tensor:
     def backward(g):
         g = g[:, :, None, :, None, :] / (k * k)
         g = np.broadcast_to(g, (bsz, h // k, k, w // k, k, c))
-        return (g.reshape(x.shape).copy(),)
+        return (g.reshape(bsz, h, w, c).copy(),)
 
     record(out, (x,), backward)
     return out

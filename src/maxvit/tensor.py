@@ -7,6 +7,7 @@ the on-disk format (one ASCII header line, then raw little-endian data).
 
 from __future__ import annotations
 
+import itertools
 import os
 from typing import Iterable, Union
 
@@ -60,14 +61,21 @@ def set_debug_checks(enabled: bool) -> None:
     _DEBUG_CHECKS = bool(enabled)
 
 
+# One process-wide source of tensor keys. A key, unlike id(), is never reused
+# by a later tensor, so the tape can name a tensor that has since been freed.
+_KEYS = itertools.count()
+
+
 class Tensor:
     """Immutable n-d array of f32 or f64 scalars.
 
     `data` is guaranteed C-contiguous and read-only, so the flat buffer is
     exactly the row-major element sequence and may be aliased freely.
+    `key` is an integer no other tensor of the process has; copies, deep
+    copies and unpickled tensors are new tensors with keys of their own.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "key")
 
     def __init__(self, data: np.ndarray):
         if not isinstance(data, np.ndarray):
@@ -79,6 +87,11 @@ class Tensor:
         if arr.flags.writeable:
             arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "key", next(_KEYS))
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __init__, which draws a fresh key
+        return Tensor, (self.data,)
 
     # -- shape introspection ------------------------------------------------
     @property

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from maxvit import ops
+from maxvit.checks import MINIATURE
 from maxvit.errors import ConfigError, DimensionError, NumericError
 from maxvit.gradcheck import GRAD_TOL, grad_check, primitive_cases
+from maxvit.model import build_model, forward
 from maxvit.tape import GradTape, record
 from maxvit.tensor import Tensor, tensor
 
@@ -154,6 +156,65 @@ def test_outer_tape_survives_inner_sweep():
         assert np.array_equal(got.data, want.data)
     w = np.array([0.5, -1.5, 2.0])
     np.testing.assert_allclose(swept[0].data, 6 * w**5 + 2 * w, rtol=1e-14)
+
+
+def test_gradients_stay_exact_when_dead_intermediates_ids_are_reused():
+    # Each round spreads h into three reshaped copies and sums them: the
+    # copies and partial sums die when the round ends (shape-only rules keep
+    # no tensor), and CPython hands their ids to the next round's tensors.
+    # h ends as 3^n x + (3^n - 1) / 2 c; the tape must keep the cotangents of
+    # the freed tensors and of the new ones with their ids apart.
+    x = Tensor(np.array([[1.0, -2.0, 3.0], [0.5, 4.0, -1.0]]))
+    c = Tensor(np.array([1.0, 2.0, -1.0, 0.0, 3.0, -2.0]))
+    rounds, ids = 6, []
+    with GradTape() as tape:
+        h = x
+        for _ in range(rounds):
+            parts = [ops.reshape(h, (6,)) for _ in range(3)]
+            total = ops.add(ops.add(parts[0], parts[1]), ops.add(parts[2], c))
+            ids += [id(t) for t in parts] + [id(total)]
+            h = ops.reshape(total, (2, 3))
+            del parts, total
+        loss = ops.reduce_sum(ops.mul(h, h))
+    assert len(set(ids)) < len(ids), "no id was reused; the test shows nothing"
+    gx, gc = tape.gradient(loss, [x, c])
+    k = 3.0**rounds
+    h = k * x.data + (k - 1) / 2 * c.data.reshape(2, 3)
+    assert np.array_equal(gx.data, 2.0 * k * h)
+    assert np.array_equal(gc.data, ((k - 1) * h).reshape(6))
+
+
+def test_tape_entries_hold_keys_not_tensors():
+    model = build_model(MINIATURE, num_classes=2, seed=0)
+    images = Tensor(np.random.default_rng(0).standard_normal((2, 28, 28, 3)).astype(np.float32))
+    with GradTape() as tape:
+        ops.softmax_cross_entropy(forward(model, images, training=True), np.array([0, 1]))
+    assert len(tape) > 100
+    for entry in tape._entries:
+        assert type(entry.out) is int and callable(entry.backward)
+        for key, shape, dtype in entry.inputs:
+            assert type(key) is int and isinstance(dtype, np.dtype)
+            assert type(shape) is tuple and all(type(d) is int for d in shape)
+
+
+_SHAPE_ONLY_CASES = {
+    "reshape": lambda x: ops.reshape(x, (2, 64, 4)),
+    "add": lambda x: ops.add(x, Tensor(np.ones(4))),
+    "reduce_sum": lambda x: ops.reduce_sum(x, axes=(1, 2)),
+    "reduce_mean": lambda x: ops.reduce_mean(x, axes=(1, 2), keepdims=True),
+    "avg_pool2d": lambda x: ops.avg_pool2d(x, 2),
+    "transpose": lambda x: ops.transpose(x, (0, 3, 1, 2)),
+    "scale": lambda x: ops.scale(x, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHAPE_ONLY_CASES))
+def test_shape_only_backwards_capture_no_array(name):
+    x = Tensor(np.random.default_rng(4).standard_normal((2, 8, 8, 4)))
+    with GradTape() as tape:
+        _SHAPE_ONLY_CASES[name](x)
+    (entry,) = tape._entries
+    assert _captured_arrays(entry.backward) == [], f"{name} backward keeps an array"
 
 
 def _captured_arrays(fn) -> list[np.ndarray]:

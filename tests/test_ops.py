@@ -16,12 +16,25 @@ from maxvit import ops
 from maxvit.checks import GELU_F32_BOUND, _check_gelu_f32_matches_exact
 from maxvit.counting import count_model
 from maxvit.errors import ConfigError, DataError, DimensionError, PartitionError
-from maxvit.tape import GradTape
+from maxvit.tape import GradTape, record
 from maxvit.tensor import Tensor, tensor
 
 
 def _t64(arr):
     return Tensor(np.asarray(arr, dtype=np.float64))
+
+
+def _sweep(output=None, params=None):
+    """tape.gradient of sum(w * w), with `output` or `params` swapped in when given."""
+    w = _t64([1.0, 2.0])
+    with GradTape() as tape:
+        y = ops.reduce_sum(ops.mul(w, w))
+    return tape.gradient(y if output is None else output, [w] if params is None else params)
+
+
+def _record(out, inputs):
+    with GradTape():
+        record(out, inputs, lambda g: (g,))
 
 
 # -- matmul ---------------------------------------------------------------------
@@ -651,13 +664,20 @@ def test_non_positive_stride_or_pool_size_rejected(call, error):
         (lambda: count_model("T", 224, num_classes="a"), ConfigError),
         (lambda: count_model("T", "224"), ConfigError),
         (lambda: count_model("T", 0), ConfigError),
+        (lambda: _sweep(output=np.ones(())), DataError),
+        (lambda: _sweep(params=[np.ones(2)]), DataError),
+        (lambda: _sweep(params=_t64([1.0, 2.0])), DataError),
+        (lambda: _record(np.ones(2), (_t64([1.0, 2.0]),)), DataError),
+        (lambda: _record(_t64([1.0, 2.0]), (np.ones(2),)), DataError),
+        (lambda: _record(_t64([1.0, 2.0]), _t64([1.0, 2.0])), DataError),
     ],
     ids=[
         "reshape-negative-extents", "cross-entropy-empty-batch", "layer-norm-0d", "emd-0d", "emd-r-nan",
         "emd-empty-batch", "emd-zero-bins", "reduce-sum-float-axis", "reduce-mean-str-axes", "scale-str",
         "conv-stride-1.5", "depthwise-stride-1.5", "gelu-bias-misshaped", "gelu-bias-0d-input", "gelu-bias-ndarray",
         "gelu-bias-mixed-dtype", "count-zero-classes", "count-str-classes", "count-str-resolution",
-        "count-zero-resolution",
+        "count-zero-resolution", "gradient-ndarray-output", "gradient-ndarray-param", "gradient-bare-tensor-params",
+        "record-ndarray-out", "record-ndarray-input", "record-bare-tensor-inputs",
     ],
 )
 def test_misuse_raises_from_the_error_taxonomy(call, error):

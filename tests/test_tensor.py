@@ -1,9 +1,14 @@
-"""Tensor container, dtype policy, and the on-disk tensor format."""
+"""Tensor container, keys, dtype policy, and the on-disk tensor format."""
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
 
+from maxvit.checks import MINIATURE
 from maxvit.errors import DataError, DimensionError
+from maxvit.model import build_model, named_parameters, with_window
 from maxvit.tensor import (
     Tensor,
     dump_tensor_bytes,
@@ -54,6 +59,36 @@ def test_item_requires_scalar():
     with pytest.raises(DimensionError):
         tensor([1.0, 2.0]).item()
     assert tensor(3.5).item() == 3.5
+
+
+# -- keys ---------------------------------------------------------------------
+
+def test_copies_and_pickles_never_share_a_key():
+    t = tensor([[1.0, 2.0], [3.0, 4.0]])
+    twins = [copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))]
+    alive = [t, *twins]
+    assert len({a.key for a in alive}) == len(alive)
+    for twin in twins:
+        assert type(twin) is Tensor and twin.dtype == t.dtype
+        assert np.array_equal(twin.data, t.data) and not twin.data.flags.writeable
+    assert twins[0].data is t.data  # a shallow copy aliases the read-only buffer
+    holder = {"a": t, "b": [t, t]}
+    deep = copy.deepcopy(holder)
+    assert deep["a"] is deep["b"][0] is deep["b"][1]  # one tensor stays one tensor
+    assert deep["a"].key != t.key
+
+
+def test_with_window_shares_parameter_tensors_and_their_keys():
+    model = build_model(MINIATURE, num_classes=2, seed=0)
+    moved = with_window(model, 4)
+    base = dict(named_parameters(model))
+    for name, t in named_parameters(moved):
+        if "bias_table" in name:
+            assert t.key not in {b.key for b in base.values()}, name
+        else:
+            assert t is base[name] and t.key == base[name].key, name
+    both = {id(t): t for _, t in named_parameters(model) + named_parameters(moved)}
+    assert len({t.key for t in both.values()}) == len(both)
 
 
 # -- serialization ------------------------------------------------------------
