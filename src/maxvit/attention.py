@@ -34,8 +34,8 @@ def build_bias_index(window: int) -> np.ndarray:
     Token coordinates are row-major; displacement (dr, dc) maps to the flat
     table slot (dr + P - 1) * (2P - 1) + (dc + P - 1).
     """
-    if window < 1:
-        raise ConfigError(f"window must be positive, got {window}")
+    if not ops._int_at_least(window):
+        raise ConfigError(f"window must be a positive integer, got {window!r}")
     coords = np.stack(np.meshgrid(np.arange(window), np.arange(window), indexing="ij"), axis=-1).reshape(-1, 2)
     delta = coords[:, None, :] - coords[None, :, :]  # (L, L, 2) in [-(P-1), P-1]
     return ((delta[..., 0] + window - 1) * (2 * window - 1) + (delta[..., 1] + window - 1)).astype(np.int64)
@@ -57,8 +57,8 @@ def interpolate_bias(table: Tensor, window: int, new_window: int) -> Tensor:
     side = 2 * window - 1
     if table.shape != (heads, side * side):
         raise DimensionError(f"bias table {table.shape} does not match window {window}")
-    if new_window < 1:
-        raise ConfigError(f"window must be positive, got {new_window}")
+    if not ops._int_at_least(new_window):
+        raise ConfigError(f"window must be a positive integer, got {new_window!r}")
     if new_window == window:
         return Tensor(table.data.copy())
     new_side = 2 * new_window - 1

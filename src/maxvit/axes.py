@@ -40,7 +40,9 @@ def _factors(kind: str, height: int, width: int, size: int) -> tuple[int, int, i
     """(R1, R2, C1, C2) of the view, after checking that `size` divides the extent."""
     if kind not in _PERMS:
         raise PartitionError(f"partition kind must be 'block' or 'grid', got {kind!r}")
-    if size < 1 or height % size or width % size:
+    if not ops._int_at_least(size):
+        raise PartitionError(f"{kind}: size must be an integer >= 1, got {size!r}")
+    if height % size or width % size:
         raise PartitionError(f"{kind}: extent ({height}, {width}) not divisible by size {size}")
     if kind == "block":
         return height // size, size, width // size, size
@@ -58,7 +60,7 @@ def to_heads(x: Tensor, kind: str, size: int, heads: int = 1) -> Tensor:
         raise DimensionError(f"{kind} expects NHWC rank-4 input, got shape {x.shape}")
     b, h, w, c = x.shape
     r1, r2, c1, c2 = _factors(kind, h, w, size)
-    if heads < 1 or c % heads:
+    if not ops._int_at_least(heads) or c % heads:
         raise DimensionError(f"{kind}: {c} channels do not split into {heads} heads")
     y = ops.reshape(x, (b, r1, r2, c1, c2, heads, c // heads))
     y = ops.transpose(y, _PERMS[kind])

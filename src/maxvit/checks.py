@@ -39,7 +39,7 @@ from .model import (
     validate_geometry,
 )
 from .counting import LayerCount, ModelCount, count_model
-from .tensor import Tensor
+from .tensor import Tensor, debug_checks_enabled, set_debug_checks
 from .train import train_toy
 
 __all__ = [
@@ -433,12 +433,30 @@ def _check_gelu_f32_matches_exact():
         err = np.abs(got - ops.gelu(Tensor(pre64)).data) / np.maximum(1.0, np.abs(pre64))
         worst = np.unravel_index(int(err.argmax()), err.shape)
         assert err[worst] <= GELU_F32_BOUND, f"f32 {name} error {err[worst]:.3e} * max(1, |y|) at y={pre[worst]}"
-    # the f32 helper directly: ops.gelu rejects non-finite outputs under MAXVIT_DEBUG=1
+    # Phi saturates: exactly 0 and 1 wherever erf's argument reaches the clip, |y| >= 5 * sqrt(2)
+    far = np.append(np.geomspace(5 * np.sqrt(2), 3e38, 100_001), np.inf).astype(np.float32)
+    for sign, want in ((1, 1.0), (-1, 0.0)):
+        cdf = ops._cdf(sign * far, *(np.empty_like(far) for _ in "ztc"))
+        assert (cdf == want).all(), f"f32 Phi({sign * far[cdf != want][0]}) = {cdf[cdf != want][0]!r}, not {want}"
+    # inf, -inf and nan through each GELU entry; ops reject non-finite outputs under MAXVIT_DEBUG=1
     special = np.array([np.inf, -np.inf, np.nan], np.float32)
-    with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0, as in the exact form
-        for steps in ((), ((np.add, np.float32([0.5, -0.5, 1.0])),)):
-            got = ops._gelu_f32(special, steps)[0]
-            assert np.array_equal(got, [np.inf, np.nan, np.nan], equal_nan=True), f"gelu(inf, -inf, nan) = {got}"
+    c = np.float32([0.5, -0.5, 1.0])
+    paths = {
+        "gelu(x)": lambda v: ops.gelu(Tensor(v)),
+        "gelu(x, bias)": lambda v: ops.gelu(Tensor(v), Tensor(c)),
+        "batch_norm_inference(gelu=True)": lambda v: ops.batch_norm_inference(
+            Tensor(v.reshape(1, 1, 1, 3)), Tensor(c + 1), Tensor(c), c, c + 1, gelu=True
+        ),
+    }
+    debug = debug_checks_enabled()
+    set_debug_checks(False)
+    try:
+        with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0, as in the exact form
+            for name, path in paths.items():
+                got = path(special).data.ravel()
+                assert np.array_equal(got, [np.inf, np.nan, np.nan], equal_nan=True), f"{name} of (inf, -inf, nan) = {got}"
+    finally:
+        set_debug_checks(debug)
 
 
 # -- training suite --------------------------------------------------------------------

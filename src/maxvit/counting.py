@@ -21,8 +21,9 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .model import (
-    MaxVitModel, _int_at_least, block_pieces, default_window, named_parameters, resolve_variant, validate_geometry,
+    MaxVitModel, block_pieces, default_window, named_parameters, resolve_variant, validate_geometry,
 )
+from .ops import _int_at_least
 
 __all__ = ["LayerCount", "ModelCount", "count_model", "count_params"]
 

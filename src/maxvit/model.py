@@ -45,6 +45,7 @@ from .nn import (
     linear,
     se_module,
 )
+from .ops import _int_at_least
 from .tensor import Tensor, default_dtype, load_tensor, save_tensor
 
 __all__ = [
@@ -104,10 +105,6 @@ class VariantSpec:
                 raise ConfigError(
                     f"stage width {s.channels} not divisible by head_dim {self.head_dim}"
                 )
-
-
-def _int_at_least(v, low: int = 1) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low
 
 
 def _mk(name, stem, chans, depths) -> VariantSpec:
@@ -324,11 +321,12 @@ def validate_geometry(spec: VariantSpec, height: int, width: int) -> list[tuple[
 
     Returns the (h, w) extent that each piece of `block_pieces(spec)` reads, in
     order, followed by the extent the head pools. Raises DimensionError for an
-    empty input, and PartitionError naming every stride-2 site with an odd
-    extent and every attention site whose extent the window/grid does not divide.
+    empty or non-integer extent, and PartitionError naming every stride-2 site
+    with an odd extent and every attention site whose extent the window/grid
+    does not divide.
     """
-    if height < 1 or width < 1:
-        raise DimensionError(f"input extent ({height}, {width}) is empty")
+    if not (_int_at_least(height) and _int_at_least(width)):
+        raise DimensionError(f"input extent ({height!r}, {width!r}) is not two positive integers")
     problems = []
     if height % 2 or width % 2:
         problems.append(f"stem downsample: extent ({height}, {width}) is odd")

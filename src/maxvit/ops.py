@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ConfigError, DataError, DimensionError, NumericError, PartitionError
-from .tape import active_tape, record
+from .tape import record
 from .tensor import Tensor, debug_checks_enabled
 
 __all__ = [
@@ -48,6 +48,11 @@ def _check_rank(context: str, x: Tensor, rank: int, layout: str, at_least: bool 
     """`x` has rank `rank` (or more when `at_least`), else DimensionError naming `layout`."""
     if x.ndim < rank or (x.ndim > rank and not at_least):
         raise DimensionError(f"{context} expects {layout} input, got shape {x.shape}")
+
+
+def _int_at_least(v, low: int = 1) -> bool:
+    """v is an integer >= low; a bool or a float of integral value is not."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low
 
 
 def _same_dtype(context: str, *ts: Tensor) -> None:
@@ -205,27 +210,16 @@ def reduce_mean(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 
 _GELU_BLOCK = 1 << 15  # elements per block: a block's arrays, the tiled operands too, fit in L2
 
-# erf(z) ~ z * P(z^2) / Q(z^2) on [-4, 4]: the f32 minimax rational of Eigen's
-# generic_fast_erf_float (also used by XLA). Outside [-4, 4] erf is +-1 in f32.
-_ERF_P = tuple(np.float32(c) for c in (
-    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
-    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
-    -1.60960333262415e-02,
+# f32 erf(z) ~ tanh(z * P(z^2)), P from the highest degree in z^2 down: a
+# least-squares fit in f64 of atanh(erf(z)) on z in [0, 4], weighted by
+# 1 - erf(z)^2 so that it is a fit in erf's own error, then Lawson
+# reweighting toward minimax; max |erf error| 5.8e-8. z is clipped to
+# [-5, 5]: z * P(z^2) rises monotonically to 46 there, where f32 tanh is
+# exactly +-1, so Phi(-inf) is 0 and gelu(-inf) = -inf * 0 is nan.
+_ERF_TANH_P = tuple(np.float32(c) for c in (
+    1.589777360183682e-07, -5.986025089565569e-06, 8.971488636399110e-05, -6.257266923406146e-04,
+    -1.843735421309113e-04, 1.027654754161421e-01, 1.128379706562100e+00,
 ))
-_ERF_Q = tuple(np.float32(c) for c in (
-    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
-    -7.37332916720468e-03, -1.42647390514189e-02,
-))
-
-
-def _horner(coeffs, t: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """acc = polynomial in t with `coeffs` from the highest degree down, in place."""
-    np.multiply(t, coeffs[0], out=acc)
-    for c in coeffs[1:-1]:
-        acc += c
-        acc *= t
-    acc += coeffs[-1]
-    return acc
 
 
 def _apply(steps, src: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -264,62 +258,65 @@ def _cut(steps, n: int):
     return [(f, a[:n]) for f, a in steps]
 
 
-def _gelu_f32(x: np.ndarray, steps=(), keep_cdf: bool = True, out: np.ndarray | None = None):
-    """(y * Phi(y), Phi(y)) for y = steps(x), f32, with the rational erf, one block at a time.
+def _cdf(y: np.ndarray, z: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Phi(y) = (1 + erf(y / sqrt(2))) / 2 of one block into `out`; z and t are scratch.
+
+    f32 takes erf(z) = tanh(z * P(z^2)) (`_ERF_TANH_P`), f64 scipy's exact
+    erf. The GELU forward and backward both call this per block of one
+    `_row_blocks` partition, so the backward's Phi has the forward's bits.
+    """
+    np.multiply(y, y.dtype.type(_INV_SQRT2), out=z)
+    if y.dtype == np.float32:
+        np.clip(z, np.float32(-5.0), np.float32(5.0), out=z)
+        np.square(z, out=t)
+        np.multiply(t, _ERF_TANH_P[0], out=out)
+        for c in _ERF_TANH_P[1:-1]:
+            out += c
+            out *= t
+        out += _ERF_TANH_P[-1]
+        out *= z
+        np.tanh(out, out=out)
+    else:
+        erf(z, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def _gelu_forward(x: np.ndarray, steps=(), out: np.ndarray | None = None) -> np.ndarray:
+    """y * Phi(y) for y = steps(x), in x's dtype, one block of rows at a time.
 
     `steps` is a per-channel pre-activation ([(ufunc, (C,) operand), ...], see
     `_apply`) formed per block of rows in cache, in the op order of the
     separate op, so y has its bits: a batch norm or a bias add then costs no
-    full-size pass and no full-size output. |error| <= 5e-7 * max(1, |y|)
-    against the exact-erf GELU (checked by `checks.gelu_f32_matches_exact`).
-    Without `keep_cdf`, Phi lives in one block of scratch and None is returned
-    for it; the output is the same bits either way. `out` may be x itself.
+    full-size pass and no full-size output. Phi lives in one block of
+    scratch. f32 is within 5e-7 * max(1, |y|) of the exact-erf GELU (checked
+    by `checks.gelu_f32_matches_exact`); f64 is the exact form. `out` may be
+    x itself.
     """
-    xr, step, (steps,), (y, z, t, q, c) = _row_blocks(x, bool(steps), steps, scratch=5)
+    xr, step, (steps,), (y, z, t, c) = _row_blocks(x, bool(steps), steps, scratch=4)
     res = np.empty_like(xr) if out is None else out.reshape(xr.shape)
-    cdf = np.empty_like(xr) if keep_cdf else None
     for lo in range(0, len(xr), step):
         xb = xr[lo:lo + step]
         n = len(xb)
         yb = _apply(_cut(steps, n), xb, y[:n])
-        zb, tb, qb, cb = z[:n], t[:n], q[:n], cdf[lo:lo + n] if keep_cdf else c[:n]
-        np.multiply(yb, np.float32(_INV_SQRT2), out=zb)
-        np.clip(zb, np.float32(-4.0), np.float32(4.0), out=zb)
-        np.square(zb, out=tb)
-        _horner(_ERF_P, tb, cb)
-        cb *= zb
-        cb /= _horner(_ERF_Q, tb, qb)  # erf(z)
-        cb *= np.float32(0.5)
-        cb += np.float32(0.5)
-        np.multiply(yb, cb, out=res[lo:lo + n])
-    return res.reshape(x.shape), cdf.reshape(x.shape) if keep_cdf else None
+        np.multiply(yb, _cdf(yb, z[:n], t[:n], c[:n]), out=res[lo:lo + n])
+    return res.reshape(x.shape)
 
 
-def _gelu_forward(x: np.ndarray, steps=(), out: np.ndarray | None = None):
-    """(gelu(steps(x)), Phi) in x's dtype; f32 keeps Phi only under a tape.
-
-    f32 runs `_gelu_f32`; f64 forms steps(x) on the whole array (into `out`
-    when given) and takes scipy's exact erf.
-    """
-    if x.dtype == np.float32:
-        return _gelu_f32(x, steps, keep_cdf=active_tape() is not None, out=out)
-    y = _apply(steps, x, np.empty_like(x) if out is None else out)
-    cdf = 0.5 * (1.0 + erf(y * _INV_SQRT2))
-    return y * cdf, cdf
-
-
-def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray, steps=(), hat=(), from_hat: bool = False):
+def _gelu_grad(x: np.ndarray, g: np.ndarray, steps=(), hat=(), from_hat: bool = False):
     """Pass one of a GELU backward, in blocks: gy = g * (Phi + y * pdf(y)), y = steps(x).
 
-    y is rebuilt per block from x, or, with `from_hat`, from xhat = hat(x).
-    With per-channel steps it also returns the channel sums of gy and, with
-    `hat`, of gy * xhat (a batch norm's dbeta and dgamma), else None for them.
-    The ops after y run in the order of the unblocked `g * (cdf + y *
-    (exp(-0.5 * y**2) * (1/sqrt(2 pi))))`, so gy is the same bits as it.
+    y is rebuilt per block from x, or, with `from_hat`, from xhat = hat(x),
+    and Phi from y, on the forward's block partition. With per-channel steps
+    it also returns the channel sums of gy and, with `hat`, of gy * xhat (a
+    batch norm's dbeta and dgamma), else None for them. The ops after Phi run
+    in the order of the unblocked `g * (Phi + y * (exp(-0.5 * y**2) * (1/sqrt(2
+    pi))))`, so gy is the same bits as it.
     """
     per_channel = bool(steps)
-    xr, step, (steps, hat), (h, y, t) = _row_blocks(x, per_channel, steps, hat, scratch=3)
-    cr, gr = cdf.reshape(xr.shape), g.reshape(xr.shape)
+    xr, step, (steps, hat), (h, y, z, t, c) = _row_blocks(x, per_channel, steps, hat, scratch=5)
+    gr = g.reshape(xr.shape)
     gy = np.empty_like(gr)
     sg = np.zeros(xr.shape[1], x.dtype) if per_channel else None
     sgx = np.zeros(xr.shape[1], x.dtype) if hat else None
@@ -328,13 +325,14 @@ def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray, steps=(), hat=(), 
         n = len(xb)
         hb = _apply(_cut(hat, n), xb, h[:n])
         yb = _apply(_cut(steps, n), hb if from_hat else xb, y[:n])
+        cb = _cdf(yb, z[:n], t[:n], c[:n])
         tb, gyb = t[:n], gy[lo:lo + n]
         np.square(yb, out=tb)
         tb *= -0.5
         np.exp(tb, out=tb)
         tb *= _INV_SQRT_2PI  # pdf
         tb *= yb
-        tb += cr[lo:lo + n]
+        tb += cb
         np.multiply(gr[lo:lo + n], tb, out=gyb)
         if per_channel:
             sg += _channel_sum(gyb)
@@ -346,10 +344,10 @@ def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray, steps=(), hat=(), 
 def gelu(x: Tensor, bias: Tensor | None = None) -> Tensor:
     """Exact-erf form: y * Phi(y), with Phi the standard normal CDF and y = x (+ bias).
 
-    f32 evaluates erf with a rational approximation (`_gelu_f32`); f64 uses
-    scipy's exact erf. A (C,) `bias` over x's last axis is added per block
-    inside the GELU loop, with the bits of `add(x, bias)`; the backward keeps
-    x and Phi, not the sum. With no tape active, f32 keeps no full-size Phi.
+    f32 evaluates erf as tanh(z * P(z^2)) (`_cdf`); f64 uses scipy's exact
+    erf. A (C,) `bias` over x's last axis is added per block inside the GELU
+    loop, with the bits of `add(x, bias)`. The backward keeps x alone, not
+    the sum and not Phi: it rebuilds both per block.
     """
     steps = ()
     if bias is not None:
@@ -359,12 +357,11 @@ def gelu(x: Tensor, bias: Tensor | None = None) -> Tensor:
             raise DimensionError(f"gelu: bias shape {bias.shape} does not match the last axis of {x.shape}")
         _same_dtype("gelu", x, bias)
         steps = ((np.add, bias.data),)
-    y, cdf = _gelu_forward(x.data, steps)
-    out = _out(y, "gelu")
+    out = _out(_gelu_forward(x.data, steps), "gelu")
     if bias is None:
-        record(out, (x,), lambda g: (_gelu_grad(x.data, cdf, g)[0],))
+        record(out, (x,), lambda g: (_gelu_grad(x.data, g)[0],))
     else:
-        record(out, (x, bias), lambda g: _gelu_grad(x.data, cdf, g, steps)[:2])
+        record(out, (x, bias), lambda g: _gelu_grad(x.data, g, steps)[:2])
     return out
 
 
@@ -394,6 +391,8 @@ def sigmoid_raw(a: np.ndarray) -> np.ndarray:
 
 def softmax_lastdim(x: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, max-subtracted for stability."""
+    if x.ndim < 1 or x.shape[-1] == 0:
+        raise DimensionError(f"softmax_lastdim: expects a non-empty last axis, got shape {x.shape}")
     z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
@@ -502,13 +501,14 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, 
     rebuilds xhat with the forward's ops in the forward's order, so its
     gradients are the same bits as with a stored xhat.
 
-    With `gelu`, out is gelu(batch norm) from one blocked pass (`_gelu_f32`)
-    that scales, shifts and activates the centred copy in cache and writes
-    over it, so the batch-norm output never exists at full size; out has the
-    bits of the two separate ops. Its backward keeps x, the statistics and
-    Phi. Pass one rebuilds xhat and y per block, forms gy = g * gelu'(y) and
-    sums gy and gy * xhat per channel; pass two forms dx = gy * k + x * a + b
-    per block, with per-channel k, a and b folded from those sums.
+    With `gelu`, out is gelu(batch norm) from one blocked pass
+    (`_gelu_forward`) that scales, shifts and activates the centred copy in
+    cache and writes over it, so the batch-norm output never exists at full
+    size; out has the bits of the two separate ops. Its backward keeps x and
+    the statistics, not Phi. Pass one rebuilds xhat, y and Phi per block,
+    forms gy = g * gelu'(y) and sums gy and gy * xhat per channel; pass two
+    forms dx = gy * k + x * a + b per block, with per-channel k, a and b
+    folded from those sums.
     """
     _check_channel_params("batch_norm_train", x, gamma=gamma, beta=beta)
     n = x.shape[0] * x.shape[1] * x.shape[2]
@@ -519,7 +519,7 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, 
     hat = ((np.subtract, mean), (np.multiply, inv))
     affine = ((np.multiply, gamma.data), (np.add, beta.data))
     if gelu:
-        y, cdf = _gelu_forward(y, hat[1:] + affine, out=y)
+        _gelu_forward(y, hat[1:] + affine, out=y)
     else:
         _apply(hat[1:] + affine, y, y)
     out = _out(y, "batch_norm_train")
@@ -537,7 +537,7 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, 
 
     def backward_gelu(g):
         # the same dx with g -> gy, regrouped as gy * k + x * a + b
-        dx, sg, sgx = _gelu_grad(x.data, cdf, g, affine, hat, from_hat=True)
+        dx, sg, sgx = _gelu_grad(x.data, g, affine, hat, from_hat=True)
         k = gamma.data * inv
         a = k * inv * (-sgx / n)
         return _bn_input_grad(dx, x.data, k, a, -k * (sg / n) - a * mean), sgx, sg
@@ -554,9 +554,9 @@ def batch_norm_inference(
 
     Folded into one per-channel scale s = gamma / sqrt(var + eps) and shift
     beta - mean * s, so the forward makes two passes over x. With `gelu`,
-    out is gelu of that, formed per block in the GELU loop (`_gelu_f32`) with
-    the same bits as the two ops; its backward keeps x and Phi (under a tape
-    only), rebuilds y and xhat per block and returns dx = gy * s.
+    out is gelu of that, formed per block in the GELU loop (`_gelu_forward`)
+    with the same bits as the two ops; its backward keeps x alone, rebuilds
+    xhat, y and Phi per block and returns dx = gy * s.
     """
     _check_channel_params(
         "batch_norm_inference", x, gamma=gamma, beta=beta, running_mean=running_mean, running_var=running_var
@@ -565,7 +565,7 @@ def batch_norm_inference(
     s = gamma.data * inv
     affine = ((np.multiply, s), (np.add, beta.data - running_mean * s))
     if gelu:
-        y, cdf = _gelu_forward(x.data, affine)
+        y = _gelu_forward(x.data, affine)
     else:
         y = _apply(affine, x.data, np.empty_like(x.data))
     out = _out(y, "batch_norm_inference")
@@ -575,7 +575,7 @@ def batch_norm_inference(
         return g * s, _channel_sum(g, xhat), _channel_sum(g)
 
     def backward_gelu(g):
-        dx, sg, sgx = _gelu_grad(x.data, cdf, g, affine, ((np.subtract, running_mean), (np.multiply, inv)))
+        dx, sg, sgx = _gelu_grad(x.data, g, affine, ((np.subtract, running_mean), (np.multiply, inv)))
         dx *= s
         return dx, sgx, sg
 
@@ -591,7 +591,7 @@ _TAP_BLOCK = 1 << 16  # elements of a row block's widest operand: one tap's slic
 def _check_kernel(context: str, kh: int, kw: int, stride: int) -> None:
     if kh < 1 or kw < 1:
         raise DimensionError(f"{context}: kernel extent ({kh}, {kw}) must be positive")
-    if not isinstance(stride, (int, np.integer)) or stride < 1:
+    if not _int_at_least(stride):
         raise ConfigError(f"{context}: stride must be an integer >= 1, got {stride!r}")
 
 
@@ -792,8 +792,8 @@ def avg_pool2d(x: Tensor, k: int) -> Tensor:
     """Non-overlapping k x k mean pooling; spatial extents must divide by k."""
     _check_rank("avg_pool2d", x, 4, "NHWC rank-4")
     bsz, h, w, c = x.shape
-    if k < 1 or h % k or w % k:
-        raise PartitionError(f"avg_pool2d: extent ({h}, {w}) not divisible by pool size {k}")
+    if not _int_at_least(k) or h % k or w % k:
+        raise PartitionError(f"avg_pool2d: pool size {k!r} is not an integer >= 1 that divides extent ({h}, {w})")
     y = x.data.reshape(bsz, h // k, k, w // k, k, c).mean(axis=(2, 4))
     out = _out(y, "avg_pool2d")
 

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from maxvit import ops
+from maxvit import axes, ops
+from maxvit.attention import build_bias_index, interpolate_bias
 from maxvit.checks import GELU_F32_BOUND, _check_gelu_f32_matches_exact
 from maxvit.counting import count_model
+from maxvit.model import VARIANTS, validate_geometry
 from maxvit.errors import ConfigError, DataError, DimensionError, PartitionError
 from maxvit.tape import GradTape, record
 from maxvit.tensor import Tensor, tensor
@@ -222,8 +224,8 @@ _GELU_IDS = ["0d", "empty", "empty-3d", "block-1", "block", "block+1", "2x3x(blo
 )
 def test_gelu_f32_dtype_shape_and_values(shape, dtype):
     """Both dtypes at the block edges: values within the f32 bound of the exact form
-    (f64 is the exact form), the same bits without a tape (where f32 keeps Phi in one
-    block of scratch), and a gradient bitwise equal to the unblocked formula."""
+    (f64 is the exact form), the same bits without a tape, and a gradient bitwise
+    equal to the unblocked formula over the f32 Phi of `ops._cdf` (f64: exact erf)."""
     rng = np.random.default_rng(12)
     x = Tensor(np.asarray(rng.standard_normal(shape) * 4, dtype))
     w = Tensor(np.asarray(rng.standard_normal(shape), dtype))
@@ -238,7 +240,7 @@ def test_gelu_f32_dtype_shape_and_values(shape, dtype):
     exact = ops.gelu(Tensor(x64)).data
     assert (np.abs(y.data - exact) <= GELU_F32_BOUND * np.maximum(1.0, np.abs(x64))).all()
     if dtype == np.float32:
-        cdf = ops._gelu_f32(x.data)[1]
+        cdf = ops._cdf(x.data, *(np.empty_like(x.data) for _ in "ztc"))
     else:
         cdf = 0.5 * (1.0 + erf(x.data * (1.0 / math.sqrt(2.0))))
     want = w.data * (cdf + x.data * (np.exp(-0.5 * x.data**2) * (1.0 / math.sqrt(2.0 * math.pi))))
@@ -462,12 +464,42 @@ def test_fused_gelu_matches_the_separate_ops(form, dtype, shape):
         results.append((y.data, [t.data for t in tape.gradient(loss, params)]))
     (y_sep, g_sep), (y_fused, g_fused) = results
     assert y_fused.dtype == dtype and np.array_equal(y_fused, y_sep)
-    # without a tape f32 keeps Phi in one block of scratch; the output is the same bits
+    # without a tape, the output is the same bits
     assert np.array_equal(_FUSED_FORMS[form][1](x, gamma, beta).data, y_sep)
     tol = 5e-6 if dtype == np.float32 else 1e-13
     for a, b in zip(g_fused, g_sep):
         assert a.dtype == dtype and a.shape == b.shape
         assert np.linalg.norm(a - b) <= tol * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("c", [16, 64, 128])
+@pytest.mark.parametrize("form", ["plain", *_FUSED_FORMS])
+def test_gelu_backward_rebuilds_the_forwards_phi_bits(form, c, monkeypatch):
+    """The backward's Phi is the forward's, block for block and bit for bit, for every
+    f32 GELU entry. 3 * 29 * 31 rows leave the last block part full at every C, and
+    the plain form's odd length leaves a tail shorter than a SIMD vector of tanh."""
+    rng = np.random.default_rng(33)
+    x = Tensor((rng.standard_normal((3, 29, 31, c)) * 3.0).astype(np.float32))
+    gamma, beta = (Tensor((rng.standard_normal(c) + k).astype(np.float32)) for k in (1.0, 0.0))
+    run = (lambda x, g, b: ops.gelu(x)) if form == "plain" else _FUSED_FORMS[form][1]
+    if form == "plain":
+        x = Tensor(x.data.ravel()[1:])
+    cdf, blocks = ops._cdf, []
+
+    def kept_cdf(*args):
+        out = cdf(*args)
+        blocks.append(out.copy())
+        return out
+
+    monkeypatch.setattr(ops, "_cdf", kept_cdf)
+    with GradTape() as tape:
+        loss = ops.reduce_sum(run(x, gamma, beta))
+    forward = blocks[:]
+    blocks.clear()
+    tape.gradient(loss, [x])
+    assert len(forward) == len(blocks) > 1
+    for a, b in zip(forward, blocks):
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_batch_norm_inference_is_batch_independent():
@@ -670,6 +702,17 @@ def test_non_positive_stride_or_pool_size_rejected(call, error):
         (lambda: _record(np.ones(2), (_t64([1.0, 2.0]),)), DataError),
         (lambda: _record(_t64([1.0, 2.0]), (np.ones(2),)), DataError),
         (lambda: _record(_t64([1.0, 2.0]), _t64([1.0, 2.0])), DataError),
+        (lambda: ops.softmax_lastdim(_t64(np.zeros((2, 0)))), DimensionError),
+        (lambda: ops.softmax_lastdim(_t64(1.0)), DimensionError),
+        (lambda: ops.avg_pool2d(_t64(np.zeros((1, 4, 4, 2))), 2.0), PartitionError),
+        (lambda: ops.avg_pool2d(_t64(np.zeros((1, 4, 4, 2))), True), PartitionError),
+        (lambda: axes.to_heads(_t64(np.zeros((1, 4, 4, 4))), "block", 2.0, 2), PartitionError),
+        (lambda: axes.to_heads(_t64(np.zeros((1, 4, 4, 4))), "grid", True), PartitionError),
+        (lambda: axes.to_heads(_t64(np.zeros((1, 4, 4, 4))), "block", 2, 2.0), DimensionError),
+        (lambda: build_bias_index(7.0), ConfigError),
+        (lambda: build_bias_index(True), ConfigError),
+        (lambda: interpolate_bias(_t64(np.zeros((1, 9))), 2, 3.0), ConfigError),
+        (lambda: validate_geometry(VARIANTS["T"], 224.0, 224), DimensionError),
     ],
     ids=[
         "reshape-negative-extents", "cross-entropy-empty-batch", "layer-norm-0d", "emd-0d", "emd-r-nan",
@@ -677,7 +720,10 @@ def test_non_positive_stride_or_pool_size_rejected(call, error):
         "conv-stride-1.5", "depthwise-stride-1.5", "gelu-bias-misshaped", "gelu-bias-0d-input", "gelu-bias-ndarray",
         "gelu-bias-mixed-dtype", "count-zero-classes", "count-str-classes", "count-str-resolution",
         "count-zero-resolution", "gradient-ndarray-output", "gradient-ndarray-param", "gradient-bare-tensor-params",
-        "record-ndarray-out", "record-ndarray-input", "record-bare-tensor-inputs",
+        "record-ndarray-out", "record-ndarray-input", "record-bare-tensor-inputs", "softmax-empty-last-axis",
+        "softmax-0d", "pool-size-float", "pool-size-bool", "to-heads-size-float", "to-heads-size-bool",
+        "to-heads-heads-float", "bias-index-window-float", "bias-index-window-bool", "interpolate-bias-window-float",
+        "geometry-float-extent",
     ],
 )
 def test_misuse_raises_from_the_error_taxonomy(call, error):
