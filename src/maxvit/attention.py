@@ -103,7 +103,6 @@ class AttentionParams:
     wo: LinearParams
     bias_table: Tensor       # (heads, (2P-1)^2)
     window: int
-    head_dim: int
 
     @property
     def heads(self) -> int:
@@ -121,7 +120,6 @@ def init_attention(rng, channels: int, window: int, head_dim: int = 32, dtype=No
         wo=init_linear(rng, channels, channels, bias=True, dtype=dtype),
         bias_table=init_bias_table(heads, window, dtype),
         window=window,
-        head_dim=head_dim,
     )
 
 

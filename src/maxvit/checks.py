@@ -174,7 +174,7 @@ def dense_attention_oracle(x: np.ndarray, p, index: np.ndarray, kind: str) -> np
     build_bias_index assumes), and heads are contiguous channel slices.
     """
     b, h, w, _ = x.shape
-    size, d = p.window, p.head_dim
+    size, d = p.window, p.wq.weight.shape[1] // p.heads
     q, k, v = (x @ lin.weight.data for lin in (p.wq, p.wk, p.wv))
     n, out = np.arange(size), np.zeros_like(x)
     for gr, gc in np.ndindex(h // size, w // size):

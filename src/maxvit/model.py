@@ -45,7 +45,7 @@ from .nn import (
     linear,
     se_module,
 )
-from .ops import _int_at_least
+from .ops import _int_at_least, _same_dtype
 from .tensor import Tensor, default_dtype, load_tensor, save_tensor
 
 __all__ = [
@@ -175,7 +175,6 @@ class MbConvParams:
     se: SeParams
     proj: ConvParams              # 1x1 to output width, bias
     shortcut: Optional[ConvParams]  # 1x1 on the (pooled) identity path
-    stride: int
 
 
 def init_mbconv(rng, cin: int, cout: int, stride: int, expansion: int, se_ratio: float, dtype=None) -> MbConvParams:
@@ -192,7 +191,6 @@ def init_mbconv(rng, cin: int, cout: int, stride: int, expansion: int, se_ratio:
         se=init_se(rng, mid, bottleneck=max(1, int(round(se_ratio * cout))), dtype=dtype),
         proj=init_conv(rng, 1, mid, cout, stride=1, bias=True, dtype=dtype),
         shortcut=shortcut,
-        stride=stride,
     )
 
 
@@ -204,7 +202,7 @@ def mbconv_forward(x: Tensor, p: MbConvParams, training: bool = False) -> Tensor
     y = batch_norm(y, p.norm2, training, gelu=True)
     y = se_module(y, p.se)
     y = conv(y, p.proj)
-    if p.stride == 2:
+    if p.dw.stride == 2:
         sc = conv(ops.avg_pool2d(x, 2), p.shortcut)
     elif p.shortcut is not None:
         sc = conv(x, p.shortcut)
@@ -217,14 +215,14 @@ def mbconv_forward(x: Tensor, p: MbConvParams, training: bool = False) -> Tensor
 
 @dataclass
 class MaxVitBlockParams:
-    order: tuple[str, ...]
     conv: MbConvParams
     block_attn: AttentionLayerParams
     grid_attn: AttentionLayerParams
 
 
-def stage_block_forward(x: Tensor, p: MaxVitBlockParams, training: bool = False) -> Tensor:
-    for piece in p.order:
+def stage_block_forward(x: Tensor, p: MaxVitBlockParams, order: tuple[str, ...], training: bool = False) -> Tensor:
+    """The block's pieces in `order`, the variant's `block_order`."""
+    for piece in order:
         if piece == "conv":
             x = mbconv_forward(x, p.conv, training)
         elif piece == "block_attn":
@@ -311,7 +309,7 @@ def build_model(variant="T", num_classes: int = 1000, seed: int = 0, dtype=None)
     stages: list[list[MaxVitBlockParams]] = [[] for _ in spec.stages]
     for (si, _), pieces in itertools.groupby(block_pieces(spec), key=lambda p: (p.stage, p.block)):
         parts = {p.piece: _init_piece(rng, spec, p, dt) for p in pieces}
-        stages[si].append(MaxVitBlockParams(order=spec.block_order, **parts))
+        stages[si].append(MaxVitBlockParams(**parts))
     head = init_linear(rng, spec.stages[-1].channels, num_classes, bias=True, dtype=dt)
     return MaxVitModel(spec, num_classes, seed, stem, stages, head)
 
@@ -349,6 +347,7 @@ def validate_geometry(spec: VariantSpec, height: int, width: int) -> list[tuple[
 
 def forward(model: MaxVitModel, images: Tensor, training: bool = False) -> Tensor:
     """Images (batch, H, W, 3) NHWC in [any real range] -> logits (batch, classes)."""
+    _same_dtype("forward", images)
     if images.ndim != 4 or images.shape[-1] != 3:
         raise DimensionError(f"forward expects (batch, H, W, 3) images, got {images.shape}")
     validate_geometry(model.variant, images.shape[1], images.shape[2])
@@ -357,7 +356,7 @@ def forward(model: MaxVitModel, images: Tensor, training: bool = False) -> Tenso
     x = conv(x, model.stem.conv2)
     for blocks in model.stages:
         for blk in blocks:
-            x = stage_block_forward(x, blk, training)
+            x = stage_block_forward(x, blk, model.variant.block_order, training)
     pooled = global_avg_pool(x)
     return linear(pooled, model.head)
 
@@ -405,29 +404,27 @@ def named_buffers(model: MaxVitModel) -> list[tuple[str, np.ndarray]]:
 
 # -- window transfer --------------------------------------------------------------------
 
-def with_window(model: MaxVitModel, window: int, grid_size: Optional[int] = None) -> MaxVitModel:
-    """Model for a new window/grid size; bias tables resampled.
+def with_window(model: MaxVitModel, window: int) -> MaxVitModel:
+    """Model whose window and grid size are both `window`; bias tables resampled.
 
     Parameter tensors shared; holders and running stats copied, so training
     the result leaves the source model untouched. Used to run a trained model
     at a different input resolution: parameter counts change only by the
     bias-table extents.
     """
-    grid_size = grid_size if grid_size is not None else window
-    spec = replace(model.variant, window=window, grid_size=grid_size)
+    spec = replace(model.variant, window=window, grid_size=window)
     spec.validate()
     # Tensors are immutable, so seeding the memo with them shares every one.
     memo = {id(t): t for _, t in named_parameters(model)}
     moved = copy.deepcopy(model, memo)
     moved.variant = spec
-    sizes = {"block": (model.variant.window, window), "grid": (model.variant.grid_size, grid_size)}
+    old = {"block": model.variant.window, "grid": model.variant.grid_size}
     for blocks in moved.stages:
         for blk in blocks:
             for layer in (blk.block_attn, blk.grid_attn):
-                old, new = sizes[layer.kind]
-                layer.attn.bias_table = interpolate_bias(layer.attn.bias_table, old, new)
-                layer.attn.window = new
-                layer.index = build_bias_index(new)
+                layer.attn.bias_table = interpolate_bias(layer.attn.bias_table, old[layer.kind], window)
+                layer.attn.window = window
+                layer.index = build_bias_index(window)
     return moved
 
 

@@ -33,15 +33,15 @@ __all__ = [
 
 # -- initializer draws --------------------------------------------------------
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=None) -> Tensor:
-    """Normal(0, std) with redraws outside +-2 std (no clipping mass at the cut)."""
+def trunc_normal(rng: np.random.Generator, shape, dtype=None) -> Tensor:
+    """Normal(0, 0.02) with redraws outside +-2 std (no clipping mass at the cut)."""
     out = rng.standard_normal(shape)
     for _ in range(64):
         bad = np.abs(out) > 2.0
         if not bad.any():
             break
         out[bad] = rng.standard_normal(int(bad.sum()))
-    return Tensor((out * std).astype(dtype or default_dtype()))
+    return Tensor((out * 0.02).astype(dtype or default_dtype()))
 
 
 def conv_fan_out_normal(rng: np.random.Generator, shape, dtype=None) -> Tensor:
@@ -54,11 +54,13 @@ def conv_fan_out_normal(rng: np.random.Generator, shape, dtype=None) -> Tensor:
 
 # -- normalization --------------------------------------------------------------
 
+_BN_MOMENTUM = 0.99  # weight of the old running statistics in each training update
+
+
 @dataclass
 class LayerNormParams:
     gamma: Tensor
     beta: Tensor
-    eps: float = 1e-5
 
 
 def init_layer_norm(channels: int, dtype=None) -> LayerNormParams:
@@ -66,7 +68,7 @@ def init_layer_norm(channels: int, dtype=None) -> LayerNormParams:
 
 
 def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
-    return ops.layer_norm(x, p.gamma, p.beta, p.eps)
+    return ops.layer_norm(x, p.gamma, p.beta)
 
 
 @dataclass
@@ -75,8 +77,6 @@ class BatchNormParams:
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
-    momentum: float = 0.99
 
 
 def init_batch_norm(channels: int, dtype=None) -> BatchNormParams:
@@ -90,11 +90,11 @@ def init_batch_norm(channels: int, dtype=None) -> BatchNormParams:
 def batch_norm(x: Tensor, p: BatchNormParams, training: bool = False, gelu: bool = False) -> Tensor:
     """Batch norm, then GELU when `gelu`, as one fused op (see `ops.batch_norm_train`)."""
     if not training:
-        return ops.batch_norm_inference(x, p.gamma, p.beta, p.running_mean, p.running_var, p.eps, gelu=gelu)
-    out, mean, var = ops.batch_norm_train(x, p.gamma, p.beta, p.eps, gelu=gelu)
+        return ops.batch_norm_inference(x, p.gamma, p.beta, p.running_mean, p.running_var, gelu=gelu)
+    out, mean, var = ops.batch_norm_train(x, p.gamma, p.beta, gelu=gelu)
     # exponential running stats; the only in-place state update in the model
-    p.running_mean = p.momentum * p.running_mean + (1.0 - p.momentum) * mean
-    p.running_var = p.momentum * p.running_var + (1.0 - p.momentum) * var
+    p.running_mean = _BN_MOMENTUM * p.running_mean + (1.0 - _BN_MOMENTUM) * mean
+    p.running_var = _BN_MOMENTUM * p.running_var + (1.0 - _BN_MOMENTUM) * var
     return out
 
 
@@ -144,9 +144,9 @@ def init_linear(rng, cin: int, cout: int, bias: bool = True, dtype=None) -> Line
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
     """Dense layer over the last axis of an arbitrary-rank input."""
+    if p.weight.ndim != 2 or x.ndim < 1 or x.shape[-1] != p.weight.shape[0]:
+        raise DimensionError(f"linear: input {x.shape} does not match a (cin, cout) weight {p.weight.shape}")
     cin, cout = p.weight.shape
-    if x.shape[-1] != cin:
-        raise DimensionError(f"linear: input features {x.shape[-1]} do not match weight {p.weight.shape}")
     lead = x.shape[:-1]
     flat = ops.reshape(x, (int(np.prod(lead, dtype=np.int64)), cin))
     y = ops.matmul(flat, p.weight)
@@ -179,9 +179,7 @@ class SeParams:
     expand: LinearParams  # (bottleneck, c)
 
 
-def init_se(rng, channels: int, bottleneck: Optional[int] = None, ratio: float = 0.25, dtype=None) -> SeParams:
-    if bottleneck is None:
-        bottleneck = max(1, int(round(channels * ratio)))
+def init_se(rng, channels: int, bottleneck: int, dtype=None) -> SeParams:
     if bottleneck < 1:
         raise ConfigError(f"se bottleneck must be positive, got {bottleneck}")
     return SeParams(init_linear(rng, channels, bottleneck, dtype=dtype), init_linear(rng, bottleneck, channels, dtype=dtype))

@@ -33,6 +33,7 @@ __all__ = [
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+_NORM_EPS = 1e-5  # added to the variance by every layer and batch norm
 
 
 def _out(arr: np.ndarray, context: str) -> Tensor:
@@ -56,6 +57,10 @@ def _int_at_least(v, low: int = 1) -> bool:
 
 
 def _same_dtype(context: str, *ts: Tensor) -> None:
+    """Every operand is a Tensor, all of one dtype, else DataError."""
+    for t in ts:
+        if not isinstance(t, Tensor):
+            raise DataError(f"{context}: operands must be Tensors, got {type(t).__name__}")
     dt = ts[0].dtype
     for t in ts[1:]:
         if t.dtype != dt:
@@ -141,8 +146,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- shape ops ----------------------------------------------------------------
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    if not isinstance(shape, (tuple, list)) or not all(_int_at_least(d, 0) for d in shape):
+        raise DimensionError(f"reshape: shape {shape!r} is not a sequence of non-negative integers")
     shape = tuple(int(d) for d in shape)
-    if any(d < 0 for d in shape) or int(np.prod(shape, dtype=np.int64)) != x.size:
+    if int(np.prod(shape, dtype=np.int64)) != x.size:
         raise DimensionError(f"reshape: cannot view {x.shape} as {shape}")
     # The flat buffer is preserved bitwise; only the shape header changes.
     out = Tensor(x.data.reshape(shape))
@@ -154,7 +161,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def transpose(x: Tensor, perm: tuple[int, ...]) -> Tensor:
     """Axis i of the result is axis perm[i] of x, as one contiguous copy."""
     perm = tuple(perm)
-    if not all(isinstance(a, (int, np.integer)) for a in perm) or sorted(perm) != list(range(x.ndim)):
+    if not all(_int_at_least(a, 0) for a in perm) or sorted(perm) != list(range(x.ndim)):
         raise DimensionError(f"transpose: {perm} is not a permutation of the axes of rank-{x.ndim} input")
     inverse = tuple(int(a) for a in np.argsort(perm))
     out = Tensor(x.data.transpose(perm).copy())
@@ -165,12 +172,10 @@ def transpose(x: Tensor, perm: tuple[int, ...]) -> Tensor:
 def _norm_axes(axes, ndim) -> tuple[int, ...]:
     if axes is None:
         return tuple(range(ndim))
-    if isinstance(axes, (int, np.integer)):
+    if isinstance(axes, numbers.Integral):
         axes = (axes,)
-    if not isinstance(axes, (tuple, list)) or not all(isinstance(a, (int, np.integer)) for a in axes):
-        raise DimensionError(f"reduction axes must be integers, got {axes!r}")
-    if any(not -ndim <= a < ndim for a in axes):
-        raise DimensionError(f"reduction axes {axes} out of range for rank {ndim}")
+    if not isinstance(axes, (tuple, list)) or not all(_int_at_least(a, -ndim) and a < ndim for a in axes):
+        raise DimensionError(f"reduction axes {axes!r} are not integers in [-{ndim}, {ndim})")
     out = tuple(sorted(a % ndim for a in axes))
     if len(set(out)) != len(out):
         raise DimensionError(f"duplicate reduction axes {axes}")
@@ -349,37 +354,34 @@ def gelu(x: Tensor, bias: Tensor | None = None) -> Tensor:
     loop, with the bits of `add(x, bias)`. The backward keeps x alone, not
     the sum and not Phi: it rebuilds both per block.
     """
+    operands = (x,) if bias is None else (x, bias)
+    _same_dtype("gelu", *operands)
     steps = ()
     if bias is not None:
-        if not isinstance(bias, Tensor):
-            raise DataError(f"gelu: bias must be a Tensor, got {type(bias).__name__}")
         if x.ndim < 1 or bias.shape != x.shape[-1:]:
             raise DimensionError(f"gelu: bias shape {bias.shape} does not match the last axis of {x.shape}")
-        _same_dtype("gelu", x, bias)
         steps = ((np.add, bias.data),)
     out = _out(_gelu_forward(x.data, steps), "gelu")
-    if bias is None:
-        record(out, (x,), lambda g: (_gelu_grad(x.data, g)[0],))
-    else:
-        record(out, (x, bias), lambda g: _gelu_grad(x.data, g, steps)[:2])
+    n = len(operands)  # gy, and the channel sum of gy as the bias gradient
+    record(out, operands, lambda g: _gelu_grad(x.data, g, steps)[:n])
     return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    y = sigmoid_raw(x.data)
+    y = _sigmoid(x.data)
     out = _out(y, "sigmoid")
     record(out, (x,), lambda g: (g * y * (1.0 - y),))
     return out
 
 
 def silu(x: Tensor) -> Tensor:
-    s = sigmoid_raw(x.data)
+    s = _sigmoid(x.data)
     out = _out(x.data * s, "silu")
     record(out, (x,), lambda g: (g * (s + x.data * s * (1.0 - s)),))
     return out
 
 
-def sigmoid_raw(a: np.ndarray) -> np.ndarray:
+def _sigmoid(a: np.ndarray) -> np.ndarray:
     # Split by sign to avoid overflow in exp for large |x|.
     y = np.empty_like(a)
     pos = a >= 0
@@ -408,7 +410,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 
 # -- normalization ---------------------------------------------------------------
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then per-feature affine.
 
     The forward centres one copy of x, takes the variance from it (the same
@@ -426,7 +428,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mean = x.data.mean(axis=-1, keepdims=True)
     y = x.data - mean  # the one owned copy: centred here, scaled and shifted in place below
     var = np.square(y).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _NORM_EPS)
     y *= inv
     y *= gamma.data
     y += beta.data
@@ -491,7 +493,7 @@ def _bn_input_grad(gy: np.ndarray, x: np.ndarray, k: np.ndarray, a: np.ndarray, 
     return gy
 
 
-def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, gelu: bool = False):
+def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, gelu: bool = False):
     """Per-channel batch norm over (batch, height, width) of an NHWC tensor.
 
     Returns (out, batch_mean, batch_var) where the stats are plain arrays
@@ -515,7 +517,7 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, 
     mean = _channel_sum(x.data) / n
     y = x.data - mean  # the one owned copy: centred here, normalized (and activated) in place below
     var = _channel_sum(y, y) / n  # two-pass, as np.var
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _NORM_EPS)
     hat = ((np.subtract, mean), (np.multiply, inv))
     affine = ((np.multiply, gamma.data), (np.add, beta.data))
     if gelu:
@@ -547,8 +549,7 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, 
 
 
 def batch_norm_inference(
-    x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, running_var: np.ndarray, eps: float = 1e-5,
-    gelu: bool = False,
+    x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, running_var: np.ndarray, gelu: bool = False
 ) -> Tensor:
     """Affine-only normalization with frozen stats; batch-independent by construction.
 
@@ -561,7 +562,7 @@ def batch_norm_inference(
     _check_channel_params(
         "batch_norm_inference", x, gamma=gamma, beta=beta, running_mean=running_mean, running_var=running_var
     )
-    inv = 1.0 / np.sqrt(running_var + eps)
+    inv = 1.0 / np.sqrt(running_var + _NORM_EPS)
     s = gamma.data * inv
     affine = ((np.multiply, s), (np.add, beta.data - running_mean * s))
     if gelu:
@@ -828,7 +829,7 @@ def gather_rows(table: Tensor, index: np.ndarray) -> Tensor:
         gt = np.zeros_like(table.data)
         flat_idx = idx.ravel()
         gflat = g.reshape(table.shape[0], flat_idx.size)
-        for head in range(table.shape[0]):
+        for head in range(table.shape[0]):  # one-dimensional np.add.at has numpy's fast path
             np.add.at(gt[head], flat_idx, gflat[head])
         return (gt,)
 

@@ -41,13 +41,14 @@ class ToyDataset:
     labels: np.ndarray  # (n,) int64
 
 
-def make_toy_dataset(seed: int = 0, count: int = TOY_IMAGES, size: int = TOY_SIZE) -> ToyDataset:
-    """Two classes of noisy images with one soft color blob each.
+def make_toy_dataset(seed: int = 0) -> ToyDataset:
+    """TOY_IMAGES noisy TOY_SIZE x TOY_SIZE images in two classes, with one soft color blob each.
 
     Class 0 blobs are red-dominant, class 1 blue-dominant; the channel means
     alone separate the classes linearly, so a working model must reach a
     near-zero loss quickly.
     """
+    count, size = TOY_IMAGES, TOY_SIZE
     rng = np.random.default_rng(seed)
     labels = np.arange(count) % 2  # balanced
     rng.shuffle(labels)
@@ -75,7 +76,6 @@ class TrainResult:
 def train_toy(
     seed: int = 0,
     steps: int = TOY_STEPS,
-    lr: float = TOY_OPT.lr,
     trace_path: Optional[str] = None,
     log_every: int = 0,
 ) -> TrainResult:
@@ -84,7 +84,7 @@ def train_toy(
         raise ConfigError(f"steps must be non-negative, got {steps}")
     data = make_toy_dataset(seed)
     model = build_model(TOY_VARIANT, num_classes=2, seed=seed)
-    opt = AdamW(model, AdamWConfig(lr=lr, weight_decay=TOY_OPT.weight_decay, clip_norm=TOY_OPT.clip_norm))
+    opt = AdamW(model, TOY_OPT)
     losses: list[float] = []
     for step in range(steps):
         params = opt.parameters()

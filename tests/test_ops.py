@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from maxvit import axes, ops
+from maxvit import axes, nn, ops
 from maxvit.attention import build_bias_index, interpolate_bias
 from maxvit.checks import GELU_F32_BOUND, _check_gelu_f32_matches_exact
 from maxvit.counting import count_model
-from maxvit.model import VARIANTS, validate_geometry
+from maxvit.checks import MINIATURE
+from maxvit.model import VARIANTS, build_model, forward, validate_geometry
 from maxvit.errors import ConfigError, DataError, DimensionError, PartitionError
 from maxvit.tape import GradTape, record
 from maxvit.tensor import Tensor, tensor
@@ -539,7 +540,7 @@ def conv2d_oracle(x, w, b=None, stride=1):
 
 
 # max |f32 - f64| / max |f64| of a conv's output and gradients, the f64 side run on
-# the f32-rounded inputs; measured up to 2.7e-7 on the cases below
+# the f32-rounded inputs; measured up to 3.7e-7 on the cases below
 CONV_F32_BOUND = 2e-6
 
 
@@ -581,8 +582,8 @@ def _check_conv_against_oracle(conv, oracle, arrays, seed):
 _CONV_CASES = [
     pytest.param(k, s, hw, id=f"{k}-{s}" if hw == (6, 8) else f"{k}-{s}-{hw[0]}x{hw[1]}")
     for hw in [(6, 8), (5, 7)]
-    for s in [1, 2]
-    for k in [1, 3]
+    for s in [1, 2, 3]
+    for k in [1, 2, 3, 5]
 ]
 
 
@@ -713,6 +714,18 @@ def test_non_positive_stride_or_pool_size_rejected(call, error):
         (lambda: build_bias_index(True), ConfigError),
         (lambda: interpolate_bias(_t64(np.zeros((1, 9))), 2, 3.0), ConfigError),
         (lambda: validate_geometry(VARIANTS["T"], 224.0, 224), DimensionError),
+        (lambda: forward(build_model(MINIATURE, num_classes=2), np.zeros((1, 28, 28, 3), np.float32)), DataError),
+        (lambda: ops.mul(_t64(np.ones(2)), 2.0), DataError),
+        (lambda: ops.gelu(np.zeros(3)), DataError),
+        (lambda: ops.depthwise_conv2d(_t64(np.zeros((1, 4, 4, 2))), np.ones((3, 3, 2))), DataError),
+        (lambda: ops.add(_t64(np.ones(2)), np.ones(2)), DataError),
+        (lambda: ops.conv2d(_t64(np.zeros((1, 4, 4, 2))), np.ones((3, 3, 2, 2))), DataError),
+        (lambda: ops.layer_norm(_t64(np.ones((2, 3))), np.ones(3), np.zeros(3)), DataError),
+        (lambda: ops.reshape(_t64(np.ones((2, 3))), (2.7, 3)), DimensionError),
+        (lambda: ops.reshape(_t64(np.ones((2, 3))), ("2", 3)), DimensionError),
+        (lambda: ops.transpose(_t64(np.ones((2, 3))), (True, False)), DimensionError),
+        (lambda: ops.reduce_sum(_t64(np.ones((2, 3))), axes=True), DimensionError),
+        (lambda: nn.linear(_t64(np.ones((2, 3))), nn.LinearParams(_t64(np.ones(3)))), DimensionError),
     ],
     ids=[
         "reshape-negative-extents", "cross-entropy-empty-batch", "layer-norm-0d", "emd-0d", "emd-r-nan",
@@ -723,7 +736,10 @@ def test_non_positive_stride_or_pool_size_rejected(call, error):
         "record-ndarray-out", "record-ndarray-input", "record-bare-tensor-inputs", "softmax-empty-last-axis",
         "softmax-0d", "pool-size-float", "pool-size-bool", "to-heads-size-float", "to-heads-size-bool",
         "to-heads-heads-float", "bias-index-window-float", "bias-index-window-bool", "interpolate-bias-window-float",
-        "geometry-float-extent",
+        "geometry-float-extent", "forward-ndarray-images", "mul-float-operand", "gelu-ndarray",
+        "depthwise-ndarray-kernel", "add-ndarray-operand", "conv-ndarray-kernel", "layer-norm-ndarray-affines",
+        "reshape-float-extent", "reshape-str-extent", "transpose-bool-axes", "reduce-sum-bool-axes",
+        "linear-rank1-weight",
     ],
 )
 def test_misuse_raises_from_the_error_taxonomy(call, error):
