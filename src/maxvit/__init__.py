@@ -45,7 +45,6 @@ from .tensor import (
     ones,
     save_tensor,
     set_debug_checks,
-    set_default_dtype,
     tensor,
     zeros,
 )
@@ -63,7 +62,7 @@ __all__ = [
     "GOLDEN_PARAMS", "GOLDEN_MACS", "PARAM_TOLERANCE", "MACS_TOLERANCE",
     "AdamW", "AdamWConfig", "make_toy_dataset", "train_toy",
     "TOY_STEPS", "TOY_LOSS_TARGET", "run_checks",
-    "default_dtype", "set_default_dtype", "set_debug_checks",
+    "default_dtype", "set_debug_checks",
     "save_tensor", "load_tensor",
     "MaxVitError", "DimensionError", "PartitionError", "NumericError",
     "DataError", "ConfigError",

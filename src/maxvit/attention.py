@@ -10,7 +10,9 @@ lattice coordinates, so displacements are in grid space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,13 +34,21 @@ def build_bias_index(window: int) -> np.ndarray:
     """(P^2, P^2) lookup: entry (i, j) indexes the bias of displacement i - j.
 
     Token coordinates are row-major; displacement (dr, dc) maps to the flat
-    table slot (dr + P - 1) * (2P - 1) + (dc + P - 1).
+    table slot (dr + P - 1) * (2P - 1) + (dc + P - 1). Each window's table is
+    built once and shared, so it is read-only.
     """
     if not ops._int_at_least(window):
         raise ConfigError(f"window must be a positive integer, got {window!r}")
+    return _bias_index(int(window))
+
+
+@lru_cache(maxsize=None)
+def _bias_index(window: int) -> np.ndarray:
     coords = np.stack(np.meshgrid(np.arange(window), np.arange(window), indexing="ij"), axis=-1).reshape(-1, 2)
     delta = coords[:, None, :] - coords[None, :, :]  # (L, L, 2) in [-(P-1), P-1]
-    return ((delta[..., 0] + window - 1) * (2 * window - 1) + (delta[..., 1] + window - 1)).astype(np.int64)
+    index = ((delta[..., 0] + window - 1) * (2 * window - 1) + (delta[..., 1] + window - 1)).astype(np.int64)
+    index.flags.writeable = False
+    return index
 
 
 def init_bias_table(heads: int, window: int, dtype=None) -> Tensor:
@@ -95,18 +105,28 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor) -> Tensor:
 
 @dataclass
 class AttentionParams:
-    """One multi-head relative-attention core for a fixed window size."""
+    """One multi-head relative-attention core; its bias table fixes the window size."""
 
     wq: LinearParams
     wk: LinearParams
     wv: LinearParams
     wo: LinearParams
     bias_table: Tensor       # (heads, (2P-1)^2)
-    window: int
 
     @property
     def heads(self) -> int:
         return self.bias_table.shape[0]
+
+    @property
+    def window(self) -> int:
+        """P, read from the table's (2P-1)^2 entries per head."""
+        entries = self.bias_table.shape[-1]
+        side = math.isqrt(entries)
+        if side * side != entries or side % 2 == 0:
+            raise DimensionError(
+                f"bias table {self.bias_table.shape} has {entries} entries per head, not an odd square"
+            )
+        return (side + 1) // 2
 
 
 def init_attention(rng, channels: int, window: int, head_dim: int = 32, dtype=None) -> AttentionParams:
@@ -119,7 +139,6 @@ def init_attention(rng, channels: int, window: int, head_dim: int = 32, dtype=No
         wv=init_linear(rng, channels, channels, bias=False, dtype=dtype),
         wo=init_linear(rng, channels, channels, bias=True, dtype=dtype),
         bias_table=init_bias_table(heads, window, dtype),
-        window=window,
     )
 
 
@@ -149,7 +168,6 @@ class AttentionLayerParams:
     attn: AttentionParams
     norm2: LayerNormParams
     mlp: MlpParams
-    index: np.ndarray            # precomputed (L, L) bias lookup
 
 
 def init_attention_layer(rng, kind: str, channels: int, window: int, head_dim: int = 32, mlp_expansion: int = 4, dtype=None) -> AttentionLayerParams:
@@ -161,12 +179,11 @@ def init_attention_layer(rng, kind: str, channels: int, window: int, head_dim: i
         attn=init_attention(rng, channels, window, head_dim, dtype),
         norm2=init_layer_norm(channels, dtype),
         mlp=init_mlp(rng, channels, mlp_expansion, dtype),
-        index=build_bias_index(window),
     )
 
 
 def attention_layer(x: Tensor, p: AttentionLayerParams) -> Tensor:
     """x += attn(norm(x)) within p.kind groups; x += mlp(norm(x)); NHWC in and out."""
-    x = ops.add(x, multi_head_attention(layer_norm(x, p.norm1), p.attn, p.index, p.kind))
+    x = ops.add(x, multi_head_attention(layer_norm(x, p.norm1), p.attn, build_bias_index(p.attn.window), p.kind))
     z = mlp_ffn(layer_norm(x, p.norm2), p.mlp)
     return ops.add(x, z)

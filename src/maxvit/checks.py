@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import tempfile
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,70 +42,12 @@ from .tensor import Tensor, debug_checks_enabled, set_debug_checks
 from .train import train_toy
 
 __all__ = [
-    "CheckReport", "PropertyResult", "SuiteResult", "suite_names", "run_checks",
+    "suite_names", "run_checks",
     "INDEX_TABLES_4X4", "check_partition_roundtrips", "check_grid_is_transposed_block",
     "check_partition_index_tables", "dense_attention_oracle", "check_golden_params", "check_golden_macs",
     "attention_records", "check_attention_macs_quadruple", "check_block_grid_parity",
     "check_emd_hand_case", "check_emd_metric_axioms", "check_cross_entropy_oracle",
 ]
-
-
-# -- result model -------------------------------------------------------------------
-
-@dataclass
-class PropertyResult:
-    name: str
-    status: str  # pass | fail | error
-    detail: str = ""
-    duration_ms: float = 0.0
-
-
-@dataclass
-class SuiteResult:
-    name: str
-    properties: list[PropertyResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(p.status == "pass" for p in self.properties)
-
-
-@dataclass
-class CheckReport:
-    filter: Optional[str]
-    suites: list[SuiteResult]
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.suites) and all(s.ok for s in self.suites)
-
-    def counts(self) -> dict[str, int]:
-        out = {"pass": 0, "fail": 0, "error": 0}
-        for s in self.suites:
-            for p in s.properties:
-                out[p.status] += 1
-        return out
-
-    def failures(self) -> list[tuple[str, PropertyResult]]:
-        return [(s.name, p) for s in self.suites for p in s.properties if p.status != "pass"]
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "filter": self.filter,
-            "counts": self.counts(),
-            "suites": [
-                {
-                    "name": s.name,
-                    "ok": s.ok,
-                    "properties": [
-                        {"name": p.name, "status": p.status, "detail": p.detail, "duration_ms": p.duration_ms}
-                        for p in s.properties
-                    ],
-                }
-                for s in self.suites
-            ],
-        }
 
 
 # -- partition suite ----------------------------------------------------------------
@@ -521,13 +462,18 @@ def suite_names() -> list[str]:
     return list(_static_suites())
 
 
-def run_checks(filter: Optional[str] = None) -> CheckReport:
-    """Run every suite whose name contains `filter` (all when None)."""
-    report = CheckReport(filter=filter, suites=[])
+def run_checks(filter: Optional[str] = None) -> dict:
+    """Run every suite whose name contains `filter` (all when None).
+
+    Returns the report that schemas/check.schema.json describes: `ok` is true
+    when at least one suite ran and every property passed.
+    """
+    counts = {"pass": 0, "fail": 0, "error": 0}
+    suites = []
     for suite_name, props in _static_suites().items():
         if filter and filter not in suite_name:
             continue
-        suite = SuiteResult(name=suite_name)
+        results = []
         for prop_name, fn in props:
             status, detail = "pass", ""
             t0 = time.perf_counter()
@@ -540,6 +486,8 @@ def run_checks(filter: Optional[str] = None) -> CheckReport:
             except Exception as exc:  # noqa: BLE001 - a crash is a failing property, not a crash of check
                 status, detail = "error", f"{type(exc).__name__}: {exc}"
             ms = 1000.0 * (time.perf_counter() - t0)
-            suite.properties.append(PropertyResult(prop_name, status, detail, ms))
-        report.suites.append(suite)
-    return report
+            counts[status] += 1
+            results.append({"name": prop_name, "status": status, "detail": detail, "duration_ms": ms})
+        suites.append({"name": suite_name, "ok": all(r["status"] == "pass" for r in results), "properties": results})
+    ok = bool(suites) and all(s["ok"] for s in suites)
+    return {"ok": ok, "filter": filter, "counts": counts, "suites": suites}

@@ -181,8 +181,8 @@ def _cmd_check(args) -> int:
         )
         return 2
     report = run_checks(filter=args.filter)
-    _emit(report.to_dict(), args, _check_text(report.to_dict()))
-    return 0 if report.ok else 1
+    _emit(report, args, _check_text(report))
+    return 0 if report["ok"] else 1
 
 
 # -- bench ----------------------------------------------------------------------------

@@ -19,13 +19,7 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from . import ops
-from .attention import (
-    AttentionLayerParams,
-    attention_layer,
-    build_bias_index,
-    init_attention_layer,
-    interpolate_bias,
-)
+from .attention import AttentionLayerParams, attention_layer, init_attention_layer, interpolate_bias
 from .errors import ConfigError, DataError, DimensionError, PartitionError
 from .nn import (
     BatchNormParams,
@@ -277,11 +271,14 @@ class StemParams:
 @dataclass
 class MaxVitModel:
     variant: VariantSpec
-    num_classes: int
     seed: int
     stem: StemParams
     stages: list[list[MaxVitBlockParams]]
     head: LinearParams
+
+    @property
+    def num_classes(self) -> int:
+        return self.head.weight.shape[1]
 
 
 def _init_piece(rng, spec: VariantSpec, p: BlockPiece, dtype):
@@ -311,7 +308,7 @@ def build_model(variant="T", num_classes: int = 1000, seed: int = 0, dtype=None)
         parts = {p.piece: _init_piece(rng, spec, p, dt) for p in pieces}
         stages[si].append(MaxVitBlockParams(**parts))
     head = init_linear(rng, spec.stages[-1].channels, num_classes, bias=True, dtype=dt)
-    return MaxVitModel(spec, num_classes, seed, stem, stages, head)
+    return MaxVitModel(spec, seed, stem, stages, head)
 
 
 def validate_geometry(spec: VariantSpec, height: int, width: int) -> list[tuple[int, int]]:
@@ -368,8 +365,8 @@ def _walk(obj, prefix: str = ""):
 
     `holder` is the owning dataclass and `key` the field name, so callers can
     write new values back without re-walking. `kind` is "param" for a Tensor
-    and "buffer" for a float ndarray (batch-norm running statistics); int
-    index tables, scalars and the VariantSpec are not state and are skipped.
+    and "buffer" for an ndarray (batch-norm running statistics); scalars and
+    the VariantSpec are not state and are skipped.
     """
     if isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
@@ -382,7 +379,7 @@ def _walk(obj, prefix: str = ""):
         name = f"{prefix}.{f.name}" if prefix else f.name
         if isinstance(val, Tensor):
             yield name, obj, f.name, "param"
-        elif isinstance(val, np.ndarray) and val.dtype.kind == "f":
+        elif isinstance(val, np.ndarray):
             yield name, obj, f.name, "buffer"
         else:
             yield from _walk(val, name)
@@ -418,13 +415,9 @@ def with_window(model: MaxVitModel, window: int) -> MaxVitModel:
     memo = {id(t): t for _, t in named_parameters(model)}
     moved = copy.deepcopy(model, memo)
     moved.variant = spec
-    old = {"block": model.variant.window, "grid": model.variant.grid_size}
-    for blocks in moved.stages:
-        for blk in blocks:
-            for layer in (blk.block_attn, blk.grid_attn):
-                layer.attn.bias_table = interpolate_bias(layer.attn.bias_table, old[layer.kind], window)
-                layer.attn.window = window
-                layer.index = build_bias_index(window)
+    for _, holder, key, _ in _walk(moved):
+        if key == "bias_table":
+            holder.bias_table = interpolate_bias(holder.bias_table, holder.window, window)
     return moved
 
 

@@ -46,7 +46,9 @@ def _out(arr: np.ndarray, context: str) -> Tensor:
 
 
 def _check_rank(context: str, x: Tensor, rank: int, layout: str, at_least: bool = False) -> None:
-    """`x` has rank `rank` (or more when `at_least`), else DimensionError naming `layout`."""
+    """`x` is a Tensor (else DataError) of rank `rank`, or more when `at_least`
+    (else DimensionError naming `layout`)."""
+    _same_dtype(context, x)
     if x.ndim < rank or (x.ndim > rank and not at_least):
         raise DimensionError(f"{context} expects {layout} input, got shape {x.shape}")
 
@@ -113,6 +115,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, s: float) -> Tensor:
+    _same_dtype("scale", x)
     if not isinstance(s, numbers.Real):
         raise DataError(f"scale: factor must be a real number, got {s!r}")
     s = float(s)
@@ -146,6 +149,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- shape ops ----------------------------------------------------------------
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    _same_dtype("reshape", x)
     if not isinstance(shape, (tuple, list)) or not all(_int_at_least(d, 0) for d in shape):
         raise DimensionError(f"reshape: shape {shape!r} is not a sequence of non-negative integers")
     shape = tuple(int(d) for d in shape)
@@ -160,8 +164,9 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def transpose(x: Tensor, perm: tuple[int, ...]) -> Tensor:
     """Axis i of the result is axis perm[i] of x, as one contiguous copy."""
-    perm = tuple(perm)
-    if not all(_int_at_least(a, 0) for a in perm) or sorted(perm) != list(range(x.ndim)):
+    _same_dtype("transpose", x)
+    axes_ok = isinstance(perm, (tuple, list)) and all(_int_at_least(a, 0) for a in perm)
+    if not axes_ok or sorted(perm) != list(range(x.ndim)):
         raise DimensionError(f"transpose: {perm} is not a permutation of the axes of rank-{x.ndim} input")
     inverse = tuple(int(a) for a in np.argsort(perm))
     out = Tensor(x.data.transpose(perm).copy())
@@ -183,6 +188,7 @@ def _norm_axes(axes, ndim) -> tuple[int, ...]:
 
 
 def reduce_sum(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
+    _same_dtype("reduce_sum", x)
     ax = _norm_axes(axes, x.ndim)
     out = _out(np.asarray(x.data.sum(axis=ax, keepdims=keepdims)), "reduce_sum")
     x_shape = x.shape
@@ -197,6 +203,7 @@ def reduce_sum(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 
 
 def reduce_mean(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
+    _same_dtype("reduce_mean", x)
     ax = _norm_axes(axes, x.ndim)
     count = int(np.prod([x.shape[a] for a in ax], dtype=np.int64))
     out = _out(np.asarray(x.data.mean(axis=ax, keepdims=keepdims)), "reduce_mean")
@@ -368,6 +375,7 @@ def gelu(x: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
+    _same_dtype("sigmoid", x)
     y = _sigmoid(x.data)
     out = _out(y, "sigmoid")
     record(out, (x,), lambda g: (g * y * (1.0 - y),))
@@ -375,6 +383,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
+    _same_dtype("silu", x)
     s = _sigmoid(x.data)
     out = _out(x.data * s, "silu")
     record(out, (x,), lambda g: (g * (s + x.data * s * (1.0 - s)),))
@@ -393,6 +402,7 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
 
 def softmax_lastdim(x: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, max-subtracted for stability."""
+    _same_dtype("softmax_lastdim", x)
     if x.ndim < 1 or x.shape[-1] == 0:
         raise DimensionError(f"softmax_lastdim: expects a non-empty last axis, got shape {x.shape}")
     z = x.data - x.data.max(axis=-1, keepdims=True)

@@ -21,7 +21,6 @@ __all__ = [
     "zeros",
     "ones",
     "default_dtype",
-    "set_default_dtype",
     "debug_checks_enabled",
     "set_debug_checks",
     "save_tensor",
@@ -31,8 +30,9 @@ __all__ = [
 ]
 
 # 32-bit is the working precision; 64-bit is the verification mode used by
-# gradient checking. MAXVIT_F64=1 flips the process-wide default.
-_DEFAULT_DTYPE = np.float64 if os.environ.get("MAXVIT_F64") == "1" else np.float32
+# gradient checking. MAXVIT_F64=1, read once at import, is the one switch of
+# the process-wide default.
+_DEFAULT_DTYPE = np.dtype(np.float64 if os.environ.get("MAXVIT_F64") == "1" else np.float32)
 _DEBUG_CHECKS = os.environ.get("MAXVIT_DEBUG") == "1"
 
 _SUPPORTED = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
@@ -40,15 +40,7 @@ _BY_NAME = {v: k for k, v in _SUPPORTED.items()}
 
 
 def default_dtype() -> np.dtype:
-    return np.dtype(_DEFAULT_DTYPE)
-
-
-def set_default_dtype(dtype) -> None:
-    dt = np.dtype(dtype)
-    if dt not in _SUPPORTED:
-        raise DataError(f"unsupported dtype {dt}; expected one of {sorted(_BY_NAME)}")
-    global _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = dt
+    return _DEFAULT_DTYPE
 
 
 def debug_checks_enabled() -> bool:

@@ -64,6 +64,22 @@ def test_identical_displacements_share_entries():
     assert idx[0, 4] == idx[4, 8]
 
 
+def test_bias_index_is_built_once_and_read_only():
+    idx = build_bias_index(7)
+    assert build_bias_index(7) is idx
+    with pytest.raises(ValueError):
+        idx[0, 0] = 1
+
+
+@pytest.mark.parametrize("entries", [50, 36, 0], ids=["not-square", "even-side", "empty"])
+def test_window_is_read_from_the_bias_table(entries):
+    p = init_attention(np.random.default_rng(0), channels=8, window=3, head_dim=4)
+    assert p.window == 3
+    p.bias_table = _t(np.zeros((2, entries)))
+    with pytest.raises(DimensionError):
+        p.window
+
+
 # -- single-head relative attention -----------------------------------------------
 
 def dense_attention_oracle(q, k, v, bias):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import maxvit.cli
+from maxvit.checks import run_checks
 from maxvit.cli import main
 
 
@@ -116,6 +117,12 @@ def test_check_golden_suite_passes(capsys):
     assert "duration_ms" in item["required"]
     durations = [p["duration_ms"] for s in report["suites"] for p in s["properties"]]
     assert all(d >= 0 for d in durations) and sum(durations) > 0
+
+
+def test_run_checks_returns_the_schema_report():
+    report = run_checks(filter="partition")
+    jsonschema.validate(report, schema("check"))
+    assert report["ok"] is True and [s["name"] for s in report["suites"]] == ["partition"]
 
 
 def test_check_unknown_filter_is_usage_error(capsys):

@@ -306,6 +306,9 @@ def test_with_window_resamples_bias_tables_only():
             assert t.shape[1] == 49  # (2*4-1)^2
         else:
             assert t.data is base[name].data, name  # shared, not copied
+    for m, window in ((model, 2), (moved, 4)):
+        layers = [layer for blocks in m.stages for blk in blocks for layer in (blk.block_attn, blk.grid_attn)]
+        assert layers and all(layer.attn.window == window for layer in layers)
     # runs at the resolution the new window tiles
     assert forward(moved, _images(1, 32)).shape == (1, 2)
 

@@ -726,6 +726,25 @@ def test_non_positive_stride_or_pool_size_rejected(call, error):
         (lambda: ops.transpose(_t64(np.ones((2, 3))), (True, False)), DimensionError),
         (lambda: ops.reduce_sum(_t64(np.ones((2, 3))), axes=True), DimensionError),
         (lambda: nn.linear(_t64(np.ones((2, 3))), nn.LinearParams(_t64(np.ones(3)))), DimensionError),
+        (lambda: ops.sigmoid(np.zeros((1, 4, 4, 2))), DataError),
+        (lambda: ops.silu(np.zeros((1, 4, 4, 2))), DataError),
+        (lambda: ops.softmax_lastdim(np.zeros((1, 4, 4, 2))), DataError),
+        (lambda: ops.reduce_sum(np.zeros((1, 4, 4, 2))), DataError),
+        (lambda: ops.reduce_mean(np.zeros((1, 4, 4, 2))), DataError),
+        (lambda: ops.transpose(np.zeros((1, 4, 4, 2)), (0, 1, 2, 3)), DataError),
+        (lambda: ops.reshape(np.zeros((1, 4, 4, 2)), (2, 16)), DataError),
+        (lambda: ops.avg_pool2d(np.zeros((1, 4, 4, 2)), 2), DataError),
+        (lambda: ops.gather_rows(np.zeros((2, 9)), np.zeros((4, 4), np.int64)), DataError),
+        (lambda: ops.softmax_cross_entropy(np.zeros((2, 3)), np.zeros(2, np.int64)), DataError),
+        (lambda: ops.scale(np.zeros((1, 4, 4, 2)), 2.0), DataError),
+        (lambda: ops.batch_norm_train(np.zeros((1, 4, 4, 2)), _t64(np.ones(2)), _t64(np.zeros(2))), DataError),
+        (
+            lambda: ops.batch_norm_inference(
+                np.zeros((1, 4, 4, 2)), _t64(np.ones(2)), _t64(np.zeros(2)), np.zeros(2), np.ones(2)
+            ),
+            DataError,
+        ),
+        (lambda: ops.transpose(_t64(np.zeros((1, 4, 4, 2))), 0), DimensionError),
     ],
     ids=[
         "reshape-negative-extents", "cross-entropy-empty-batch", "layer-norm-0d", "emd-0d", "emd-r-nan",
@@ -739,7 +758,10 @@ def test_non_positive_stride_or_pool_size_rejected(call, error):
         "geometry-float-extent", "forward-ndarray-images", "mul-float-operand", "gelu-ndarray",
         "depthwise-ndarray-kernel", "add-ndarray-operand", "conv-ndarray-kernel", "layer-norm-ndarray-affines",
         "reshape-float-extent", "reshape-str-extent", "transpose-bool-axes", "reduce-sum-bool-axes",
-        "linear-rank1-weight",
+        "linear-rank1-weight", "sigmoid-ndarray", "silu-ndarray", "softmax-ndarray", "reduce-sum-ndarray",
+        "reduce-mean-ndarray", "transpose-ndarray", "reshape-ndarray", "pool-ndarray", "gather-ndarray-table",
+        "cross-entropy-ndarray-logits", "scale-ndarray", "batch-norm-train-ndarray", "batch-norm-inference-ndarray",
+        "transpose-int-perm",
     ],
 )
 def test_misuse_raises_from_the_error_taxonomy(call, error):
