@@ -28,7 +28,7 @@ print(f"block attention on a (1, {2 * P}, {2 * P}, 16) map, 4 windows of {P * P}
 
 # transfer a trained 7x7 table to a 12x12 window (e.g. 224 -> 384 inputs)
 table7 = Tensor(rng.standard_normal((2, (2 * 7 - 1) ** 2)).astype(np.float32))
-table12 = interpolate_bias(table7, 7, 12)
+table12 = interpolate_bias(table7, 12)
 print(f"bias table transfer: {table7.shape} (P=7) -> {table12.shape} (P=12)")
-same = interpolate_bias(table7, 7, 7)
+same = interpolate_bias(table7, 7)
 print("identity transfer is exact:", np.array_equal(same.data, table7.data))

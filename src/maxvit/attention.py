@@ -56,17 +56,25 @@ def init_bias_table(heads: int, window: int, dtype=None) -> Tensor:
     return Tensor(np.zeros((heads, (2 * window - 1) ** 2), dtype=dtype or default_dtype()))
 
 
-def interpolate_bias(table: Tensor, window: int, new_window: int) -> Tensor:
-    """Resample a bias table to a new window size, per head.
+def _table_window(table: Tensor) -> int:
+    """P, read from a bias table's (2P-1)^2 entries per head."""
+    entries = table.shape[-1]
+    side = math.isqrt(entries)
+    if side * side != entries or side % 2 == 0:
+        raise DimensionError(f"bias table {table.shape} has {entries} entries per head, not an odd square")
+    return (side + 1) // 2
+
+
+def interpolate_bias(table: Tensor, new_window: int) -> Tensor:
+    """Resample a (heads, (2P-1)^2) bias table to window P', per head.
 
     Each head's flat table is viewed as its (2P-1) x (2P-1) displacement
     image and resized bilinearly with corner alignment, so the extreme
     displacements map onto each other and P' == P is the identity.
     """
-    heads = table.shape[0]
-    side = 2 * window - 1
-    if table.shape != (heads, side * side):
-        raise DimensionError(f"bias table {table.shape} does not match window {window}")
+    ops._check_rank("interpolate_bias", table, 2, "a (heads, entries) table")
+    window = _table_window(table)
+    heads, side = table.shape[0], 2 * window - 1
     if not ops._int_at_least(new_window):
         raise ConfigError(f"window must be a positive integer, got {new_window!r}")
     if new_window == window:
@@ -94,6 +102,7 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor) -> Tensor:
     q, k, v: (*batch, L, d) with identical shapes; bias broadcasts against the
     (*batch, L, L) logits (typically (heads, L, L) vs (b, windows, heads, L, L)).
     """
+    ops._same_dtype("rel_attention", q, k, v, bias)
     if q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(f"rel_attention: q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
     d = q.shape[-1]
@@ -120,13 +129,7 @@ class AttentionParams:
     @property
     def window(self) -> int:
         """P, read from the table's (2P-1)^2 entries per head."""
-        entries = self.bias_table.shape[-1]
-        side = math.isqrt(entries)
-        if side * side != entries or side % 2 == 0:
-            raise DimensionError(
-                f"bias table {self.bias_table.shape} has {entries} entries per head, not an odd square"
-            )
-        return (side + 1) // 2
+        return _table_window(self.bias_table)
 
 
 def init_attention(rng, channels: int, window: int, head_dim: int = 32, dtype=None) -> AttentionParams:
@@ -170,7 +173,7 @@ class AttentionLayerParams:
     mlp: MlpParams
 
 
-def init_attention_layer(rng, kind: str, channels: int, window: int, head_dim: int = 32, mlp_expansion: int = 4, dtype=None) -> AttentionLayerParams:
+def init_attention_layer(rng, kind: str, channels: int, window: int, head_dim: int = 32, dtype=None) -> AttentionLayerParams:
     if kind not in ("block", "grid"):
         raise ConfigError(f"attention kind must be 'block' or 'grid', got {kind!r}")
     return AttentionLayerParams(
@@ -178,7 +181,7 @@ def init_attention_layer(rng, kind: str, channels: int, window: int, head_dim: i
         norm1=init_layer_norm(channels, dtype),
         attn=init_attention(rng, channels, window, head_dim, dtype),
         norm2=init_layer_norm(channels, dtype),
-        mlp=init_mlp(rng, channels, mlp_expansion, dtype),
+        mlp=init_mlp(rng, channels, dtype),
     )
 
 

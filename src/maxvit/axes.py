@@ -56,8 +56,7 @@ def to_heads(x: Tensor, kind: str, size: int, heads: int = 1) -> Tensor:
     [h*d, (h+1)*d). For "block" a group is a size x size window; for "grid" it
     is the pixels at one offset inside each cell of a size x size lattice.
     """
-    if x.ndim != 4:
-        raise DimensionError(f"{kind} expects NHWC rank-4 input, got shape {x.shape}")
+    ops._check_rank(kind, x, 4, "NHWC rank-4")
     b, h, w, c = x.shape
     r1, r2, c1, c2 = _factors(kind, h, w, size)
     if not ops._int_at_least(heads) or c % heads:
@@ -69,8 +68,7 @@ def to_heads(x: Tensor, kind: str, size: int, heads: int = 1) -> Tensor:
 
 def from_heads(x: Tensor, kind: str, height: int, width: int, size: int) -> Tensor:
     """Inverse of to_heads(): (B, groups, heads, L, d) -> (B, H, W, heads*d)."""
-    if x.ndim != 5:
-        raise DimensionError(f"un{kind} expects (B, groups, heads, L, d) input, got shape {x.shape}")
+    ops._check_rank(f"un{kind}", x, 5, "(B, groups, heads, L, d)")
     b, groups, heads, tokens, d = x.shape
     r1, r2, c1, c2 = _factors(kind, height, width, size)
     if groups * size * size != height * width or tokens != size * size:
@@ -88,8 +86,7 @@ def _one_head(x: Tensor, kind: str, size: int) -> Tensor:
 
 
 def _merge_one_head(x: Tensor, kind: str, height: int, width: int, size: int) -> Tensor:
-    if x.ndim != 4:
-        raise DimensionError(f"un{kind} expects rank-4 input, got shape {x.shape}")
+    ops._check_rank(f"un{kind}", x, 4, "rank-4")
     b, groups, tokens, c = x.shape
     return from_heads(ops.reshape(x, (b, groups, 1, tokens, c)), kind, height, width, size)
 

@@ -156,9 +156,9 @@ def _check_bias_index_involution():
 def _check_bias_interpolation_identity_and_shape():
     rng = np.random.default_rng(105)
     table = Tensor(rng.standard_normal((3, (2 * 7 - 1) ** 2)))
-    same = interpolate_bias(table, 7, 7)
+    same = interpolate_bias(table, 7)
     assert np.array_equal(same.data, table.data), "identity resize must be exact"
-    grown = interpolate_bias(table, 7, 12)
+    grown = interpolate_bias(table, 12)
     assert grown.shape == (3, (2 * 12 - 1) ** 2), f"resized table has shape {grown.shape}"
 
 
@@ -249,7 +249,7 @@ def _check_window_policy():
     got = {res: default_window(res) for res in table}
     assert got == table, f"window policy {got}"
     for res in table:
-        spec = VariantSpec("t", 64, (StageSpec(1, 64),) * 4, window=default_window(res), grid_size=default_window(res))
+        spec = VariantSpec("t", 64, (StageSpec(1, 64),) * 4, window=default_window(res))
         validate_geometry(spec, res, res)
 
 

@@ -47,7 +47,7 @@ def _emit(report: dict, args, text: str) -> None:
 
 def _describe_report(variant: str, resolution: int, num_classes: int) -> dict:
     count = count_model(variant, resolution, num_classes, window=default_window(resolution))
-    spec = replace(resolve_variant(variant), window=count.window, grid_size=count.grid_size)
+    spec = replace(resolve_variant(variant), window=count.window)
     totals = count.stage_totals()
     extents = validate_geometry(spec, resolution, resolution)
     # each piece's output extent is the next one's input; a stage's is its last piece's
@@ -99,7 +99,7 @@ def _describe_report(variant: str, resolution: int, num_classes: int) -> dict:
         "variant": variant,
         "resolution": resolution,
         "window": count.window,
-        "grid_size": count.grid_size,
+        "grid_size": count.window,
         "num_classes": num_classes,
         "dtype": str(np.dtype(default_dtype())),
         "stages": stages,

@@ -21,8 +21,10 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .model import (
-    MaxVitModel, block_pieces, default_window, named_parameters, resolve_variant, validate_geometry,
+    _MBCONV_EXPANSION, MaxVitModel, _se_bottleneck, block_pieces, default_window, named_parameters, resolve_variant,
+    validate_geometry,
 )
+from .nn import _MLP_RATIO
 from .ops import _int_at_least
 
 __all__ = ["LayerCount", "ModelCount", "count_model", "count_params"]
@@ -41,7 +43,6 @@ class ModelCount:
     variant: str
     resolution: int
     window: int
-    grid_size: int
     layers: tuple[LayerCount, ...]
     total_params: int
     total_macs: int
@@ -61,11 +62,11 @@ class ModelCount:
         return [lc for lc in self.layers if needle in lc.name]
 
 
-def _attention_layer_counts(prefix: str, channels: int, size: int, head_dim: int, mlp_expansion: int, tokens: int):
+def _attention_layer_counts(prefix: str, channels: int, size: int, head_dim: int, tokens: int):
     """Per-layer records for one attention layer at a given token count."""
     heads = channels // head_dim
     window_tokens = size * size
-    hidden = channels * mlp_expansion
+    hidden = channels * _MLP_RATIO
     return [
         LayerCount(f"{prefix}.norm1", "norm", 2 * channels, 0),
         LayerCount(f"{prefix}.attn.wq", "dense", channels * channels, tokens * channels * channels),
@@ -85,10 +86,10 @@ def _attention_layer_counts(prefix: str, channels: int, size: int, head_dim: int
     ]
 
 
-def _mbconv_counts(prefix: str, cin: int, cout: int, stride: int, expansion: int, se_ratio: float, n_in: int, n_out: int):
+def _mbconv_counts(prefix: str, cin: int, cout: int, stride: int, n_in: int, n_out: int):
     """Per-layer records for one MBConv reading n_in positions and writing n_out."""
-    mid = expansion * cout
-    bottleneck = max(1, int(round(se_ratio * cout)))
+    mid = _MBCONV_EXPANSION * cout
+    bottleneck = _se_bottleneck(cout)
     layers = [
         LayerCount(f"{prefix}.pre_norm", "norm", 2 * cin, 0),
         LayerCount(f"{prefix}.expand", "conv1x1", cin * mid, cin * mid * n_in),
@@ -107,7 +108,7 @@ def _mbconv_counts(prefix: str, cin: int, cout: int, stride: int, expansion: int
 def count_model(variant, resolution: int = 224, num_classes: int = 1000, window: int | None = None) -> ModelCount:
     """Full per-layer accounting for a variant at a square input resolution.
 
-    `window` sets both the window and the grid size; by default it is the
+    `window` sets the window (which is also the grid size); by default it is the
     resolution's `default_window` when the resolution is a multiple of 32,
     else the variant's own. Raises PartitionError wherever `forward` would,
     and ConfigError for a class count `build_model` rejects or a resolution
@@ -121,7 +122,7 @@ def count_model(variant, resolution: int = 224, num_classes: int = 1000, window:
     if window is None and resolution % 32 == 0:
         window = default_window(resolution)
     if window is not None:
-        spec = resolve_variant(replace(spec, window=window, grid_size=window))
+        spec = resolve_variant(replace(spec, window=window))
     extents = validate_geometry(spec, resolution, resolution)
     (h, w), cs = extents[0], spec.stem_channels
     layers: list[LayerCount] = [
@@ -132,18 +133,15 @@ def count_model(variant, resolution: int = 224, num_classes: int = 1000, window:
     for p, (h, w), (h_out, w_out) in zip(block_pieces(spec), extents, extents[1:]):
         prefix = f"stages.{p.stage}.{p.block}.{p.piece}"
         if p.piece == "conv":
-            layers += _mbconv_counts(
-                prefix, p.cin, p.cout, p.stride, spec.conv_expansion, spec.se_ratio, h * w, h_out * w_out
-            )
+            layers += _mbconv_counts(prefix, p.cin, p.cout, p.stride, h * w, h_out * w_out)
         else:
-            layers += _attention_layer_counts(prefix, p.cin, p.size, spec.head_dim, spec.mlp_expansion, h * w)
+            layers += _attention_layer_counts(prefix, p.cin, spec.window, spec.head_dim, h * w)
     last = spec.stages[-1].channels
     layers.append(LayerCount("head", "dense", last * num_classes + num_classes, last * num_classes))
     return ModelCount(
         variant=spec.name,
         resolution=resolution,
         window=spec.window,
-        grid_size=spec.grid_size,
         layers=tuple(layers),
         total_params=sum(l.params for l in layers),
         total_macs=sum(l.macs for l in layers),

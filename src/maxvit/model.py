@@ -11,7 +11,6 @@ from __future__ import annotations
 import copy
 import itertools
 import json
-import numbers
 import os
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Iterator, NamedTuple, Optional
@@ -68,12 +67,8 @@ class VariantSpec:
     name: str
     stem_channels: int
     stages: tuple[StageSpec, ...]
-    window: int = 7           # block-attention window P
-    grid_size: int = 7        # grid-attention lattice G
+    window: int = 7           # block window P and grid lattice G (the paper sets P = G)
     head_dim: int = 32
-    conv_expansion: int = 4
-    se_ratio: float = 0.25
-    mlp_expansion: int = 4
     block_order: tuple[str, ...] = ("conv", "block_attn", "grid_attn")
 
     def validate(self) -> None:
@@ -85,11 +80,9 @@ class VariantSpec:
             raise ConfigError(
                 f"block_order must arrange ('conv', 'block_attn', 'grid_attn'), got {self.block_order}"
             )
-        for key in ("stem_channels", "window", "grid_size", "head_dim", "conv_expansion", "mlp_expansion"):
+        for key in ("stem_channels", "window", "head_dim"):
             if not _int_at_least(getattr(self, key)):
                 raise ConfigError(f"variant {key} must be a positive integer, got {getattr(self, key)!r}")
-        if not isinstance(self.se_ratio, numbers.Real) or not 0 < self.se_ratio < float("inf"):
-            raise ConfigError(f"variant se_ratio must be a positive number, got {self.se_ratio!r}")
         if not isinstance(self.stages, tuple) or not self.stages:
             raise ConfigError(f"invalid variant {self.name}: stages must be a non-empty tuple")
         for s in self.stages:
@@ -171,8 +164,16 @@ class MbConvParams:
     shortcut: Optional[ConvParams]  # 1x1 on the (pooled) identity path
 
 
-def init_mbconv(rng, cin: int, cout: int, stride: int, expansion: int, se_ratio: float, dtype=None) -> MbConvParams:
-    mid = expansion * cout
+_MBCONV_EXPANSION = 4  # expand width / output width, in every variant
+
+
+def _se_bottleneck(cout: int) -> int:
+    """SE squeeze width: a quarter of the block's output width, at least 1."""
+    return max(1, int(round(0.25 * cout)))
+
+
+def init_mbconv(rng, cin: int, cout: int, stride: int, dtype=None) -> MbConvParams:
+    mid = _MBCONV_EXPANSION * cout
     shortcut = None
     if stride == 2 or cin != cout:
         shortcut = init_conv(rng, 1, cin, cout, stride=1, bias=True, dtype=dtype)
@@ -182,7 +183,7 @@ def init_mbconv(rng, cin: int, cout: int, stride: int, expansion: int, se_ratio:
         norm1=init_batch_norm(mid, dtype),
         dw=init_depthwise(rng, 3, mid, stride=stride, dtype=dtype),
         norm2=init_batch_norm(mid, dtype),
-        se=init_se(rng, mid, bottleneck=max(1, int(round(se_ratio * cout))), dtype=dtype),
+        se=init_se(rng, mid, bottleneck=_se_bottleneck(cout), dtype=dtype),
         proj=init_conv(rng, 1, mid, cout, stride=1, bias=True, dtype=dtype),
         shortcut=shortcut,
     )
@@ -237,7 +238,6 @@ class BlockPiece(NamedTuple):
     cin: int
     cout: int
     stride: int
-    size: Optional[int]    # window (block_attn) or grid lattice (grid_attn); None for conv
 
 
 def block_pieces(spec: VariantSpec) -> Iterator[BlockPiece]:
@@ -252,11 +252,10 @@ def block_pieces(spec: VariantSpec) -> Iterator[BlockPiece]:
         for b in range(stage.depth):
             for piece in spec.block_order:
                 if piece == "conv":
-                    yield BlockPiece(si, b, piece, width, stage.channels, 2 if b == 0 else 1, None)
+                    yield BlockPiece(si, b, piece, width, stage.channels, 2 if b == 0 else 1)
                     width = stage.channels
                 else:
-                    size = spec.window if piece == "block_attn" else spec.grid_size
-                    yield BlockPiece(si, b, piece, width, width, 1, size)
+                    yield BlockPiece(si, b, piece, width, width, 1)
 
 
 # -- the full model -----------------------------------------------------------------
@@ -283,9 +282,9 @@ class MaxVitModel:
 
 def _init_piece(rng, spec: VariantSpec, p: BlockPiece, dtype):
     if p.piece == "conv":
-        return init_mbconv(rng, p.cin, p.cout, p.stride, spec.conv_expansion, spec.se_ratio, dtype)
+        return init_mbconv(rng, p.cin, p.cout, p.stride, dtype)
     kind = p.piece.removesuffix("_attn")
-    return init_attention_layer(rng, kind, p.cin, p.size, spec.head_dim, spec.mlp_expansion, dtype)
+    return init_attention_layer(rng, kind, p.cin, spec.window, spec.head_dim, dtype)
 
 
 def build_model(variant="T", num_classes: int = 1000, seed: int = 0, dtype=None) -> MaxVitModel:
@@ -317,8 +316,8 @@ def validate_geometry(spec: VariantSpec, height: int, width: int) -> list[tuple[
     Returns the (h, w) extent that each piece of `block_pieces(spec)` reads, in
     order, followed by the extent the head pools. Raises DimensionError for an
     empty or non-integer extent, and PartitionError naming every stride-2 site
-    with an odd extent and every attention site whose extent the window/grid
-    does not divide.
+    with an odd extent and every attention site whose extent the window does
+    not divide.
     """
     if not (_int_at_least(height) and _int_at_least(width)):
         raise DimensionError(f"input extent ({height!r}, {width!r}) is not two positive integers")
@@ -334,9 +333,9 @@ def validate_geometry(spec: VariantSpec, height: int, width: int) -> list[tuple[
             if h % 2 or w % 2:
                 problems.append(f"{site} downsample: extent ({h}, {w}) is odd")
             h, w = -(-h // 2), -(-w // 2)
-        elif p.size is not None and (h % p.size or w % p.size):
+        elif p.piece != "conv" and (h % spec.window or w % spec.window):
             kind = p.piece.removesuffix("_attn")
-            problems.append(f"{site} {kind} attention: extent ({h}, {w}) not divisible by {p.size}")
+            problems.append(f"{site} {kind} attention: extent ({h}, {w}) not divisible by {spec.window}")
     if problems:
         raise PartitionError("; ".join(problems))
     return extents + [(h, w)]
@@ -402,14 +401,14 @@ def named_buffers(model: MaxVitModel) -> list[tuple[str, np.ndarray]]:
 # -- window transfer --------------------------------------------------------------------
 
 def with_window(model: MaxVitModel, window: int) -> MaxVitModel:
-    """Model whose window and grid size are both `window`; bias tables resampled.
+    """Model whose window (and so grid size) is `window`; bias tables resampled.
 
     Parameter tensors shared; holders and running stats copied, so training
     the result leaves the source model untouched. Used to run a trained model
     at a different input resolution: parameter counts change only by the
     bias-table extents.
     """
-    spec = replace(model.variant, window=window, grid_size=window)
+    spec = replace(model.variant, window=window)
     spec.validate()
     # Tensors are immutable, so seeding the memo with them shares every one.
     memo = {id(t): t for _, t in named_parameters(model)}
@@ -417,7 +416,7 @@ def with_window(model: MaxVitModel, window: int) -> MaxVitModel:
     moved.variant = spec
     for _, holder, key, _ in _walk(moved):
         if key == "bias_table":
-            holder.bias_table = interpolate_bias(holder.bias_table, holder.window, window)
+            holder.bias_table = interpolate_bias(holder.bias_table, window)
     return moved
 
 

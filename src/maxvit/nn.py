@@ -144,6 +144,7 @@ def init_linear(rng, cin: int, cout: int, bias: bool = True, dtype=None) -> Line
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
     """Dense layer over the last axis of an arbitrary-rank input."""
+    ops._same_dtype("linear", x, p.weight)
     if p.weight.ndim != 2 or x.ndim < 1 or x.shape[-1] != p.weight.shape[0]:
         raise DimensionError(f"linear: input {x.shape} does not match a (cin, cout) weight {p.weight.shape}")
     cin, cout = p.weight.shape
@@ -161,8 +162,11 @@ class MlpParams:
     fc2: LinearParams
 
 
-def init_mlp(rng, channels: int, expansion: int = 4, dtype=None) -> MlpParams:
-    hidden = channels * expansion
+_MLP_RATIO = 4  # hidden width / channels, in every variant
+
+
+def init_mlp(rng, channels: int, dtype=None) -> MlpParams:
+    hidden = channels * _MLP_RATIO
     return MlpParams(init_linear(rng, channels, hidden, dtype=dtype), init_linear(rng, hidden, channels, dtype=dtype))
 
 
@@ -191,8 +195,7 @@ def se_module(x: Tensor, p: SeParams) -> Tensor:
     The gate is computed from globally pooled features, so it is a per-channel
     scalar per image; spatial structure passes through untouched.
     """
-    if x.ndim != 4:
-        raise DimensionError(f"se_module expects NHWC rank-4 input, got {x.shape}")
+    ops._check_rank("se_module", x, 4, "NHWC rank-4")
     pooled = ops.reduce_mean(x, axes=(1, 2))          # (b, c)
     gate = linear(pooled, p.reduce)
     gate = ops.silu(gate)
@@ -204,6 +207,5 @@ def se_module(x: Tensor, p: SeParams) -> Tensor:
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """NHWC -> (batch, channels) spatial mean."""
-    if x.ndim != 4:
-        raise DimensionError(f"global_avg_pool expects NHWC rank-4 input, got {x.shape}")
+    ops._check_rank("global_avg_pool", x, 4, "NHWC rank-4")
     return ops.reduce_mean(x, axes=(1, 2))

@@ -430,11 +430,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     more input-sized buffer for the products that its reductions read; its
     gradients are the same bits as the unfused formula over a stored xhat.
     """
+    _same_dtype("layer_norm", x, gamma, beta)
     _check_rank("layer_norm", x, 1, "(..., features)", at_least=True)
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError(f"layer_norm: affines {gamma.shape}/{beta.shape} do not match feature dim {c}")
-    _same_dtype("layer_norm", x, gamma, beta)
     mean = x.data.mean(axis=-1, keepdims=True)
     y = x.data - mean  # the one owned copy: centred here, scaled and shifted in place below
     var = np.square(y).mean(axis=-1, keepdims=True)
@@ -723,17 +723,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     s x s pixel block into channels (space-to-depth), which turns the kernel
     into a zero-padded ceil(k/s) x ceil(k/s) kernel over s*s*cin channels.
     """
-    if x.ndim != 4 or w.ndim != 4:
-        raise DimensionError(f"conv2d: expected NHWC input and (kh,kw,cin,cout) kernel, got {x.shape}, {w.shape}")
+    inputs = (x, w) if b is None else (x, w, b)
+    _same_dtype("conv2d", *inputs)
+    _check_rank("conv2d", x, 4, "NHWC rank-4")
+    _check_rank("conv2d", w, 4, "(kh, kw, cin, cout) kernel")
     bsz, h, wid, cin = x.shape
     kh, kw, wcin, cout = w.shape
     if wcin != cin:
         raise DimensionError(f"conv2d: kernel expects {wcin} input channels, tensor has {cin}")
     if b is not None and b.shape != (cout,):
         raise DimensionError(f"conv2d: bias shape {b.shape} does not match {cout} output channels")
-    _same_dtype("conv2d", *( (x, w) if b is None else (x, w, b) ))
     _check_kernel("conv2d", kh, kw, stride)
-    inputs = (x, w) if b is None else (x, w, b)
 
     if kh == 1 and kw == 1 and stride == 1:
         flat = x.data.reshape(bsz * h * wid, cin)
@@ -778,13 +778,13 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     A sum of shifted elementwise products over the flat padded input
     (`_tap_conv`); stride s reads tap (i, j) from phase plane (i % s, j % s).
     """
-    if x.ndim != 4 or w.ndim != 3:
-        raise DimensionError(f"depthwise_conv2d: expected NHWC input and (kh,kw,c) kernel, got {x.shape}, {w.shape}")
+    _same_dtype("depthwise_conv2d", x, w)
+    _check_rank("depthwise_conv2d", x, 4, "NHWC rank-4")
+    _check_rank("depthwise_conv2d", w, 3, "(kh, kw, c) kernel")
     bsz, h, wid, c = x.shape
     kh, kw, wc = w.shape
     if wc != c:
         raise DimensionError(f"depthwise_conv2d: kernel has {wc} channels, tensor has {c}")
-    _same_dtype("depthwise_conv2d", x, w)
     _check_kernel("depthwise_conv2d", kh, kw, stride)
     s = stride
     taps = [(i // s, j // s, (i % s) * s + j % s, w.data[i, j]) for i in range(kh) for j in range(kw)]
@@ -884,11 +884,11 @@ def emd_loss(p: Tensor, q: Tensor, r: float = 2.0) -> Tensor:
     ((1/N) * sum_k |CDF_p(k) - CDF_q(k)|^r) ** (1/r) along the last axis,
     averaged over any leading batch axes. Exact metric for normalized inputs.
     """
+    _same_dtype("emd_loss", p, q)
     if p.shape != q.shape:
         raise DimensionError(f"emd_loss: shapes {p.shape} and {q.shape} differ")
     _check_rank("emd_loss", p, 1, "(..., bins)", at_least=True)
-    _same_dtype("emd_loss", p, q)
-    if not isinstance(r, numbers.Real) or not 1.0 <= r < np.inf:
+    if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 1.0 <= r < np.inf:
         raise DataError(f"emd_loss: order r must be a finite number >= 1, got {r!r}")
     if p.size == 0:
         raise DimensionError(f"emd_loss: empty input of shape {p.shape}")

@@ -229,7 +229,7 @@ def test_interpolate_bias_matches_oracle(p, p2):
     rng = np.random.default_rng(p * 100 + p2)
     heads = 2
     table = _t(rng.standard_normal((heads, (2 * p - 1) ** 2)))
-    got = interpolate_bias(table, p, p2)
+    got = interpolate_bias(table, p2)
     assert got.shape == (heads, (2 * p2 - 1) ** 2)
     for h in range(heads):
         want = bilinear_oracle(table.data[h].reshape(2 * p - 1, 2 * p - 1), 2 * p2 - 1)
@@ -239,7 +239,7 @@ def test_interpolate_bias_matches_oracle(p, p2):
 def test_interpolate_bias_identity_is_bitwise():
     rng = np.random.default_rng(9)
     table = Tensor(rng.standard_normal((3, 169)).astype(np.float32))
-    got = interpolate_bias(table, 7, 7)
+    got = interpolate_bias(table, 7)
     assert np.array_equal(got.data, table.data)
 
 
@@ -247,7 +247,7 @@ def test_interpolate_bias_preserves_corners():
     # corner alignment pins the four extreme displacements exactly
     rng = np.random.default_rng(10)
     table = _t(rng.standard_normal((1, 25)))  # window 3, side 5
-    got = interpolate_bias(table, 3, 6).data.reshape(11, 11)
+    got = interpolate_bias(table, 6).data.reshape(11, 11)
     src = table.data.reshape(5, 5)
     assert got[0, 0] == pytest.approx(src[0, 0], rel=1e-12)
     assert got[0, -1] == pytest.approx(src[0, -1], rel=1e-12)

@@ -61,6 +61,12 @@ def test_describe_resolution_without_flop_reference(capsys):
     jsonschema.validate(report, schema("describe"))
 
 
+@pytest.mark.parametrize("variant,res", [("T", 224), ("B", 384), ("T", 448), ("S", 224)])
+def test_describe_grid_size_is_the_window(capsys, variant, res):
+    _, report = run_json(capsys, ["describe", "--variant", variant, "--res", str(res), "--json"])
+    assert report["grid_size"] == report["window"]
+
+
 def test_describe_plain_text_mentions_tolerances(capsys):
     code = main(["describe", "--variant", "S", "--res", "224"])
     out = capsys.readouterr().out

@@ -29,7 +29,7 @@ def test_analytic_count_matches_built_model(name):
 def test_analytic_count_matches_small_custom_variants():
     for order in [("conv", "block_attn", "grid_attn"), ("block_attn", "grid_attn", "conv")]:
         spec = VariantSpec(
-            "x", 8, (StageSpec(2, 8), StageSpec(1, 16)), window=2, grid_size=2, head_dim=4, block_order=order
+            "x", 8, (StageSpec(2, 8), StageSpec(1, 16)), window=2, head_dim=4, block_order=order
         )
         model = build_model(spec, num_classes=3, seed=0)
         assert count_params(model) == count_model(spec, 16, num_classes=3).total_params

@@ -33,7 +33,6 @@ MINI = VariantSpec(
     stem_channels=8,
     stages=(StageSpec(1, 8), StageSpec(1, 16)),
     window=2,
-    grid_size=2,
     head_dim=4,
 )
 
@@ -56,7 +55,7 @@ def test_variant_table():
         spec = VARIANTS[name]
         assert spec.stem_channels == stem
         assert [(s.depth, s.channels) for s in spec.stages] == stages
-        assert spec.window == spec.grid_size == 7
+        assert spec.window == 7
         assert spec.head_dim == 32
 
 
@@ -108,7 +107,7 @@ def test_parameter_names_and_order_are_stable():
 
 
 def test_head_dim_divisibility_enforced():
-    bad = VariantSpec("bad", 8, (StageSpec(1, 10),), window=2, grid_size=2, head_dim=4)
+    bad = VariantSpec("bad", 8, (StageSpec(1, 10),), window=2, head_dim=4)
     with pytest.raises(ConfigError):
         build_model(bad)
 
@@ -184,7 +183,7 @@ def test_inference_is_batch_independent():
     ],
 )
 def test_block_orders_build_and_run(order):
-    spec = VariantSpec("mini_o", 8, (StageSpec(1, 8), StageSpec(1, 16)), window=2, grid_size=2, head_dim=4, block_order=order)
+    spec = VariantSpec("mini_o", 8, (StageSpec(1, 8), StageSpec(1, 16)), window=2, head_dim=4, block_order=order)
     model = build_model(spec, num_classes=2, seed=0)
     assert forward(model, _images(1, 16)).shape == (1, 2)
     # analytic count and the real build share the schedule for every order:
@@ -198,7 +197,7 @@ def test_block_orders_build_and_run(order):
 
 
 def test_bad_block_order_rejected():
-    spec = VariantSpec("dup", 8, (StageSpec(1, 8),), window=2, grid_size=2, head_dim=4, block_order=("conv", "conv", "grid_attn"))
+    spec = VariantSpec("dup", 8, (StageSpec(1, 8),), window=2, head_dim=4, block_order=("conv", "conv", "grid_attn"))
     with pytest.raises(ConfigError):
         build_model(spec)
 
@@ -206,12 +205,12 @@ def test_bad_block_order_rejected():
 @pytest.mark.parametrize(
     "bad",
     [
-        {"window": "7"}, {"grid_size": 2.0}, {"stem_channels": True}, {"head_dim": 0}, {"se_ratio": None},
+        {"window": "7"}, {"window": 2.0}, {"stem_channels": True}, {"head_dim": 0}, {"head_dim": None},
         {"stages": (StageSpec(1, "8"),)}, {"stages": ((1, 8),)}, {"block_order": (1, "conv", "grid_attn")},
         {"name": 3},
     ],
     ids=[
-        "window-str", "grid-float", "stem-bool", "head-dim-zero", "se-ratio-none",
+        "window-str", "window-float", "stem-bool", "head-dim-zero", "head-dim-none",
         "stage-channels-str", "stage-not-spec", "block-order-int", "name-int",
     ],
 )
@@ -247,8 +246,7 @@ def test_checkpoint_roundtrip(tmp_path):
     # the variant record keeps its on-disk layout
     record = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())["variant"]
     assert list(record.items()) == [
-        ("name", "mini"), ("stem_channels", 8), ("stages", [[1, 8], [1, 16]]), ("window", 2), ("grid_size", 2),
-        ("head_dim", 4), ("conv_expansion", 4), ("se_ratio", 0.25), ("mlp_expansion", 4),
+        ("name", "mini"), ("stem_channels", 8), ("stages", [[1, 8], [1, 16]]), ("window", 2), ("head_dim", 4),
         ("block_order", ["conv", "block_attn", "grid_attn"]),
     ]
 
@@ -277,14 +275,14 @@ def _truncate_payload(ckpt):
         lambda ckpt: (ckpt / "manifest.json").write_text("[]"),
         lambda ckpt: _edit_manifest(ckpt, lambda m: m["variant"].update(stages=[[1]])),
         lambda ckpt: _edit_manifest(ckpt, lambda m: m["variant"].update(window="7")),
-        lambda ckpt: _edit_manifest(ckpt, lambda m: m["variant"].update(se_ratio=None)),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m["variant"].update(head_dim=None)),
         lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(num_classes="2")),
         lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(dtype="f16")),
     ],
     ids=[
         "truncated-payload", "no-manifest", "truncated-buffer-list", "parameter-listed-as-buffer",
         "buffer-wrong-shape", "missing-tensor-file", "manifest-missing-seed", "manifest-not-object",
-        "stage-entry-short", "window-string", "se-ratio-null", "num-classes-string", "dtype-f16",
+        "stage-entry-short", "window-string", "head-dim-null", "num-classes-string", "dtype-f16",
     ],
 )
 def test_checkpoint_rejects_corruption(tmp_path, corrupt):
@@ -295,10 +293,39 @@ def test_checkpoint_rejects_corruption(tmp_path, corrupt):
         load_model(tmp_path / "ckpt")
 
 
+def _older_layout(record, grid_size):
+    # the variant record as older checkpoints wrote it: a separate grid size and
+    # the paper's MBConv expansion, SE ratio and MLP ratio
+    return {
+        **{k: record[k] for k in ("name", "stem_channels", "stages", "window")}, "grid_size": grid_size,
+        "head_dim": record["head_dim"], "conv_expansion": 4, "se_ratio": 0.25, "mlp_expansion": 4,
+        "block_order": record["block_order"],
+    }
+
+
+def test_checkpoint_in_the_older_variant_layout_loads(tmp_path):
+    model = build_model(MINI, num_classes=3, seed=7)
+    forward(model, _images(2, 16), training=True)
+    ckpt = tmp_path / "ckpt"
+    save_model(model, ckpt)
+    _edit_manifest(ckpt, lambda m: m.update(variant=_older_layout(m["variant"], grid_size=2)))
+    back = load_model(ckpt)
+    assert back.variant == model.variant
+    assert np.array_equal(forward(back, _images(1, 16, seed=8)).data, forward(model, _images(1, 16, seed=8)).data)
+    # a grid size other than the window gave the grid layers tables of another
+    # shape, which this architecture cannot hold
+    _edit_manifest(ckpt, lambda m: m.update(variant=_older_layout(m["variant"], grid_size=3)))
+    for name, t in named_parameters(model):
+        if name.endswith("grid_attn.attn.bias_table"):
+            save_tensor(Tensor(np.zeros((t.shape[0], 25), np.float32)), ckpt / f"{name}.tensor")
+    with pytest.raises(DataError):
+        load_model(ckpt)
+
+
 def test_with_window_resamples_bias_tables_only():
     model = build_model(MINI, num_classes=2, seed=1)
     moved = with_window(model, 4)
-    assert moved.variant.window == moved.variant.grid_size == 4
+    assert moved.variant.window == 4
     base = dict(named_parameters(model))
     new = dict(named_parameters(moved))
     for name, t in new.items():

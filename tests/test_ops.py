@@ -13,7 +13,7 @@ import pytest
 from scipy.special import erf
 
 from maxvit import axes, nn, ops
-from maxvit.attention import build_bias_index, interpolate_bias
+from maxvit.attention import build_bias_index, interpolate_bias, rel_attention
 from maxvit.checks import GELU_F32_BOUND, _check_gelu_f32_matches_exact
 from maxvit.counting import count_model
 from maxvit.checks import MINIATURE
@@ -712,7 +712,7 @@ def test_non_positive_stride_or_pool_size_rejected(call, error):
         (lambda: axes.to_heads(_t64(np.zeros((1, 4, 4, 4))), "block", 2, 2.0), DimensionError),
         (lambda: build_bias_index(7.0), ConfigError),
         (lambda: build_bias_index(True), ConfigError),
-        (lambda: interpolate_bias(_t64(np.zeros((1, 9))), 2, 3.0), ConfigError),
+        (lambda: interpolate_bias(_t64(np.zeros((1, 9))), 3.0), ConfigError),
         (lambda: validate_geometry(VARIANTS["T"], 224.0, 224), DimensionError),
         (lambda: forward(build_model(MINIATURE, num_classes=2), np.zeros((1, 28, 28, 3), np.float32)), DataError),
         (lambda: ops.mul(_t64(np.ones(2)), 2.0), DataError),
@@ -745,6 +745,19 @@ def test_non_positive_stride_or_pool_size_rejected(call, error):
             DataError,
         ),
         (lambda: ops.transpose(_t64(np.zeros((1, 4, 4, 2))), 0), DimensionError),
+        (lambda: ops.conv2d(np.zeros((1, 4, 4, 2)).tolist(), _t64(np.ones((1, 1, 2, 2)))), DataError),
+        (lambda: ops.conv2d(_t64(np.zeros((1, 4, 4, 2))), _t64(np.ones((3, 3, 2, 2))), [0.0, 0.0]), DataError),
+        (lambda: ops.depthwise_conv2d(np.zeros((1, 4, 4, 2)).tolist(), _t64(np.ones((3, 3, 2)))), DataError),
+        (lambda: ops.emd_loss([0.5, 0.5], _t64([0.2, 0.8])), DataError),
+        (lambda: ops.emd_loss(_t64([0.5, 0.5]), _t64([0.2, 0.8]), r=True), DataError),
+        (lambda: ops.layer_norm(_t64(np.ones((2, 3))), [1.0, 1.0, 1.0], _t64(np.zeros(3))), DataError),
+        (lambda: rel_attention(np.zeros((1, 4, 2)).tolist(), *[_t64(np.zeros((1, 4, 2)))] * 2, _t64(np.zeros((4, 4)))), DataError),
+        (lambda: interpolate_bias(np.zeros((1, 9)), 3), DataError),
+        (lambda: nn.linear([[1.0, 2.0, 3.0]], nn.LinearParams(_t64(np.ones((3, 2))))), DataError),
+        (lambda: nn.global_avg_pool(np.zeros((1, 4, 4, 2)).tolist()), DataError),
+        (lambda: nn.se_module(np.zeros((1, 4, 4, 2)).tolist(), nn.init_se(np.random.default_rng(0), 2, 1)), DataError),
+        (lambda: axes.to_heads(np.zeros((1, 4, 4, 4)).tolist(), "block", 2), DataError),
+        (lambda: axes.from_heads(np.zeros((1, 4, 1, 4, 4)).tolist(), "block", 4, 4, 2), DataError),
     ],
     ids=[
         "reshape-negative-extents", "cross-entropy-empty-batch", "layer-norm-0d", "emd-0d", "emd-r-nan",
@@ -761,7 +774,9 @@ def test_non_positive_stride_or_pool_size_rejected(call, error):
         "linear-rank1-weight", "sigmoid-ndarray", "silu-ndarray", "softmax-ndarray", "reduce-sum-ndarray",
         "reduce-mean-ndarray", "transpose-ndarray", "reshape-ndarray", "pool-ndarray", "gather-ndarray-table",
         "cross-entropy-ndarray-logits", "scale-ndarray", "batch-norm-train-ndarray", "batch-norm-inference-ndarray",
-        "transpose-int-perm",
+        "transpose-int-perm", "conv-list-input", "conv-list-bias", "depthwise-list-input", "emd-list-operand",
+        "emd-r-bool", "layer-norm-list-gamma", "rel-attention-list-query", "interpolate-bias-ndarray-table",
+        "linear-list-input", "global-pool-list-input", "se-list-input", "to-heads-list-input", "from-heads-list-input",
     ],
 )
 def test_misuse_raises_from_the_error_taxonomy(call, error):
