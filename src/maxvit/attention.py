@@ -37,9 +37,7 @@ def build_bias_index(window: int) -> np.ndarray:
     table slot (dr + P - 1) * (2P - 1) + (dc + P - 1). Each window's table is
     built once and shared, so it is read-only.
     """
-    if not ops._int_at_least(window):
-        raise ConfigError(f"window must be a positive integer, got {window!r}")
-    return _bias_index(int(window))
+    return _bias_index(ops._int_arg("build_bias_index", "window", window))
 
 
 @lru_cache(maxsize=None)
@@ -53,6 +51,8 @@ def _bias_index(window: int) -> np.ndarray:
 
 def init_bias_table(heads: int, window: int, dtype=None) -> Tensor:
     """Zero-initialised per-head table of all (2P-1)^2 displacement biases."""
+    ops._int_arg("init_bias_table", "heads", heads)
+    ops._int_arg("init_bias_table", "window", window)
     return Tensor(np.zeros((heads, (2 * window - 1) ** 2), dtype=dtype or default_dtype()))
 
 
@@ -75,8 +75,7 @@ def interpolate_bias(table: Tensor, new_window: int) -> Tensor:
     ops._check_rank("interpolate_bias", table, 2, "a (heads, entries) table")
     window = _table_window(table)
     heads, side = table.shape[0], 2 * window - 1
-    if not ops._int_at_least(new_window):
-        raise ConfigError(f"window must be a positive integer, got {new_window!r}")
+    new_window = ops._int_arg("interpolate_bias", "new_window", new_window)
     if new_window == window:
         return Tensor(table.data.copy())
     new_side = 2 * new_window - 1

@@ -40,8 +40,7 @@ def _factors(kind: str, height: int, width: int, size: int) -> tuple[int, int, i
     """(R1, R2, C1, C2) of the view, after checking that `size` divides the extent."""
     if kind not in _PERMS:
         raise PartitionError(f"partition kind must be 'block' or 'grid', got {kind!r}")
-    if not ops._int_at_least(size):
-        raise PartitionError(f"{kind}: size must be an integer >= 1, got {size!r}")
+    ops._int_arg(kind, "size", size, error=PartitionError)
     if height % size or width % size:
         raise PartitionError(f"{kind}: extent ({height}, {width}) not divisible by size {size}")
     if kind == "block":
@@ -59,7 +58,7 @@ def to_heads(x: Tensor, kind: str, size: int, heads: int = 1) -> Tensor:
     ops._check_rank(kind, x, 4, "NHWC rank-4")
     b, h, w, c = x.shape
     r1, r2, c1, c2 = _factors(kind, h, w, size)
-    if not ops._int_at_least(heads) or c % heads:
+    if c % ops._int_arg(kind, "heads", heads, error=DimensionError):
         raise DimensionError(f"{kind}: {c} channels do not split into {heads} heads")
     y = ops.reshape(x, (b, r1, r2, c1, c2, heads, c // heads))
     y = ops.transpose(y, _PERMS[kind])
@@ -124,6 +123,8 @@ def partition_indices(kind: str, height: int, width: int, size: int) -> np.ndarr
     """
     if kind not in ("block", "grid"):
         raise PartitionError(f"partition_indices: kind must be 'block' or 'grid', got {kind!r}")
+    ops._int_arg("partition_indices", "height", height, error=DimensionError)
+    ops._int_arg("partition_indices", "width", width, error=DimensionError)
     img = Tensor(np.arange(height * width, dtype=np.float64).reshape(1, height, width, 1))
     out = block(img, size) if kind == "block" else grid(img, size)
     return out.data.reshape(out.shape[1], out.shape[2]).astype(np.int64)

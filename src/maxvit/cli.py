@@ -2,8 +2,9 @@
 and the toy training demo.
 
 Exit codes: 0 success, 1 failed property or runtime failure, 2 usage error.
-JSON output (--json, or --out files) validates against the schemas shipped in
-maxvit/schemas/. Set MAXVIT_F64=1 to run everything in 64-bit.
+JSON output (--json, and the --out file of describe, check and bench)
+validates against the schemas shipped in maxvit/schemas/; train-toy's --out
+is its per-step loss trace CSV. Set MAXVIT_F64=1 to run everything in 64-bit.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .golden import GOLDEN_MACS, GOLDEN_PARAMS, MACS_TOLERANCE, PARAM_TOLERANCE,
 from .model import (
     VARIANTS, block_pieces, build_model, default_window, forward, resolve_variant, validate_geometry, with_window,
 )
+from .ops import _int_arg
 from .tensor import Tensor, default_dtype
 from .train import TOY_LOSS_TARGET, TOY_STEPS, train_toy
 
@@ -199,8 +201,7 @@ def _time_forwards(model, images: Tensor, iters: int) -> list[float]:
 
 
 def _cmd_bench(args) -> int:
-    if args.iters < 0:
-        raise ConfigError(f"iters must be non-negative, got {args.iters}")
+    _int_arg("bench", "iters", args.iters, 0)
     window = default_window(args.res)
     base = count_model(args.variant, args.res, window=window)
     dbl = count_model(args.variant, 2 * args.res, window=window)
@@ -268,7 +269,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_train_toy(args) -> int:
     log_every = 0 if args.json else 25
-    result = train_toy(seed=args.seed, steps=args.steps, trace_path=args.out, log_every=log_every)
+    result = train_toy(seed=args.seed, steps=args.steps, trace_path=args.trace, log_every=log_every)
     hit = next((i for i, v in enumerate(result.losses) if v < TOY_LOSS_TARGET), None)
     final = None if math.isnan(result.final_loss) else result.final_loss
     report = {
@@ -278,19 +279,16 @@ def _cmd_train_toy(args) -> int:
         "accuracy": result.accuracy,
         "hit_step": hit,
         "target": TOY_LOSS_TARGET,
-        "trace_path": args.out,
+        "trace_path": args.trace,
     }
     reached = f"reached <{TOY_LOSS_TARGET} at step {hit}" if hit is not None else f"never reached <{TOY_LOSS_TARGET}"
     text = (
         f"train-toy seed={result.seed} steps={result.steps}: "
         f"final loss {'n/a' if final is None else f'{final:.6f}'}, {reached}, "
         f"train accuracy {result.accuracy:.4f}"
-        + (f", trace -> {args.out}" if args.out else "")
+        + (f", trace -> {args.trace}" if args.trace else "")
     )
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(text)
+    _emit(report, args, text)
     return 0
 
 
@@ -331,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train-toy", help="train the miniature variant on the synthetic two-class set")
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--steps", type=int, default=TOY_STEPS)
-    t.add_argument("--out", default=None, help="write the per-step loss trace CSV here")
+    t.add_argument("--out", dest="trace", default=None, help="write the per-step loss trace CSV here")
     t.add_argument("--json", action="store_true")
     t.set_defaults(fn=_cmd_train_toy)
 

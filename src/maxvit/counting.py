@@ -19,13 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError
 from .model import (
     _MBCONV_EXPANSION, MaxVitModel, _se_bottleneck, block_pieces, default_window, named_parameters, resolve_variant,
     validate_geometry,
 )
 from .nn import _MLP_RATIO
-from .ops import _int_at_least
+from .ops import _int_arg
 
 __all__ = ["LayerCount", "ModelCount", "count_model", "count_params"]
 
@@ -115,10 +114,8 @@ def count_model(variant, resolution: int = 224, num_classes: int = 1000, window:
     that is not a positive integer.
     """
     spec = resolve_variant(variant)
-    if not _int_at_least(num_classes):
-        raise ConfigError(f"num_classes must be a positive integer, got {num_classes!r}")
-    if not _int_at_least(resolution):
-        raise ConfigError(f"resolution must be a positive integer, got {resolution!r}")
+    _int_arg("count_model", "num_classes", num_classes)
+    resolution = _int_arg("count_model", "resolution", resolution)
     if window is None and resolution % 32 == 0:
         window = default_window(resolution)
     if window is not None:

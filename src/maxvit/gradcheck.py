@@ -12,6 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericError
+from .ops import _finite_real
 from .tape import GradTape
 from .tensor import Tensor
 
@@ -39,8 +40,8 @@ def grad_check(
     it is re-evaluated 2 * total_entries times. All inputs are promoted to
     f64 first, so callers can hand in f32 parameters directly.
     """
-    if not 1e-6 <= eps <= 1e-4:
-        raise NumericError(f"grad_check: eps {eps} outside supported range [1e-6, 1e-4]")
+    if not (_finite_real(eps) and 1e-6 <= eps <= 1e-4):
+        raise NumericError(f"grad_check: eps {eps!r} outside supported range [1e-6, 1e-4]")
     params64 = [p.astype(np.float64) for p in params]
     with GradTape() as tape:
         out = f(*params64)

@@ -38,7 +38,7 @@ from .nn import (
     linear,
     se_module,
 )
-from .ops import _int_at_least, _same_dtype
+from .ops import _int_arg, _int_at_least, _same_dtype
 from .tensor import Tensor, default_dtype, load_tensor, save_tensor
 
 __all__ = [
@@ -81,13 +81,14 @@ class VariantSpec:
                 f"block_order must arrange ('conv', 'block_attn', 'grid_attn'), got {self.block_order}"
             )
         for key in ("stem_channels", "window", "head_dim"):
-            if not _int_at_least(getattr(self, key)):
-                raise ConfigError(f"variant {key} must be a positive integer, got {getattr(self, key)!r}")
+            _int_arg(f"variant {self.name}", key, getattr(self, key))
         if not isinstance(self.stages, tuple) or not self.stages:
             raise ConfigError(f"invalid variant {self.name}: stages must be a non-empty tuple")
         for s in self.stages:
-            if not isinstance(s, StageSpec) or not (_int_at_least(s.depth) and _int_at_least(s.channels)):
+            if not isinstance(s, StageSpec):
                 raise ConfigError(f"invalid stage spec {s}")
+            _int_arg(f"variant {self.name}", "stage depth", s.depth)
+            _int_arg(f"variant {self.name}", "stage channels", s.channels)
             if s.channels % self.head_dim:
                 raise ConfigError(
                     f"stage width {s.channels} not divisible by head_dim {self.head_dim}"
@@ -137,8 +138,8 @@ def default_window(resolution: int) -> int:
     (so 224 -> 7, 384 -> 12, 448 -> 7, 512 -> 8), falling back to
     resolution/32 itself.
     """
-    if resolution < 32 or resolution % 32:
-        raise ConfigError(f"resolution {resolution} must be a positive multiple of 32")
+    if not _int_at_least(resolution, 32) or resolution % 32:
+        raise ConfigError(f"resolution {resolution!r} must be a positive multiple of 32")
     last = resolution // 32
     if last % 7 == 0:
         return 7
@@ -290,10 +291,8 @@ def _init_piece(rng, spec: VariantSpec, p: BlockPiece, dtype):
 def build_model(variant="T", num_classes: int = 1000, seed: int = 0, dtype=None) -> MaxVitModel:
     """Deterministic construction: same variant/classes/seed => bitwise-equal weights."""
     spec = resolve_variant(variant)
-    if not _int_at_least(num_classes):
-        raise ConfigError(f"num_classes must be a positive integer, got {num_classes!r}")
-    if not _int_at_least(seed, 0):
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    _int_arg("build_model", "num_classes", num_classes)
+    _int_arg("build_model", "seed", seed, 0)
     dt = dtype or default_dtype()
     rng = np.random.default_rng(seed)
     stem = StemParams(
@@ -319,8 +318,8 @@ def validate_geometry(spec: VariantSpec, height: int, width: int) -> list[tuple[
     with an odd extent and every attention site whose extent the window does
     not divide.
     """
-    if not (_int_at_least(height) and _int_at_least(width)):
-        raise DimensionError(f"input extent ({height!r}, {width!r}) is not two positive integers")
+    height = _int_arg("validate_geometry", "height", height, error=DimensionError)
+    width = _int_arg("validate_geometry", "width", width, error=DimensionError)
     problems = []
     if height % 2 or width % 2:
         problems.append(f"stem downsample: extent ({height}, {width}) is odd")

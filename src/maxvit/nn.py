@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 from .tensor import Tensor, default_dtype, ones, zeros
 
 __all__ = [
@@ -184,8 +184,7 @@ class SeParams:
 
 
 def init_se(rng, channels: int, bottleneck: int, dtype=None) -> SeParams:
-    if bottleneck < 1:
-        raise ConfigError(f"se bottleneck must be positive, got {bottleneck}")
+    ops._int_arg("init_se", "bottleneck", bottleneck)
     return SeParams(init_linear(rng, channels, bottleneck, dtype=dtype), init_linear(rng, bottleneck, channels, dtype=dtype))
 
 

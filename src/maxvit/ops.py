@@ -58,6 +58,18 @@ def _int_at_least(v, low: int = 1) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low
 
 
+def _int_arg(context: str, name: str, value, low: int = 1, error=ConfigError) -> int:
+    """`value` as a plain int if `_int_at_least(value, low)`, else `error` naming it."""
+    if not _int_at_least(value, low):
+        raise error(f"{context}: {name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _finite_real(v) -> bool:
+    """v is a finite real number; a bool is not."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and -np.inf < v < np.inf
+
+
 def _same_dtype(context: str, *ts: Tensor) -> None:
     """Every operand is a Tensor, all of one dtype, else DataError."""
     for t in ts:
@@ -602,8 +614,7 @@ _TAP_BLOCK = 1 << 16  # elements of a row block's widest operand: one tap's slic
 def _check_kernel(context: str, kh: int, kw: int, stride: int) -> None:
     if kh < 1 or kw < 1:
         raise DimensionError(f"{context}: kernel extent ({kh}, {kw}) must be positive")
-    if not _int_at_least(stride):
-        raise ConfigError(f"{context}: stride must be an integer >= 1, got {stride!r}")
+    _int_arg(context, "stride", stride)
 
 
 def _same_pad(extent: int, k: int, stride: int) -> tuple[int, int]:
@@ -803,8 +814,9 @@ def avg_pool2d(x: Tensor, k: int) -> Tensor:
     """Non-overlapping k x k mean pooling; spatial extents must divide by k."""
     _check_rank("avg_pool2d", x, 4, "NHWC rank-4")
     bsz, h, w, c = x.shape
-    if not _int_at_least(k) or h % k or w % k:
-        raise PartitionError(f"avg_pool2d: pool size {k!r} is not an integer >= 1 that divides extent ({h}, {w})")
+    k = _int_arg("avg_pool2d", "pool size", k, error=PartitionError)
+    if h % k or w % k:
+        raise PartitionError(f"avg_pool2d: pool size {k} does not divide extent ({h}, {w})")
     y = x.data.reshape(bsz, h // k, k, w // k, k, c).mean(axis=(2, 4))
     out = _out(y, "avg_pool2d")
 
@@ -888,7 +900,7 @@ def emd_loss(p: Tensor, q: Tensor, r: float = 2.0) -> Tensor:
     if p.shape != q.shape:
         raise DimensionError(f"emd_loss: shapes {p.shape} and {q.shape} differ")
     _check_rank("emd_loss", p, 1, "(..., bins)", at_least=True)
-    if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 1.0 <= r < np.inf:
+    if not _finite_real(r) or r < 1.0:
         raise DataError(f"emd_loss: order r must be a finite number >= 1, got {r!r}")
     if p.size == 0:
         raise DimensionError(f"emd_loss: empty input of shape {p.shape}")

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .model import parameter_slots
+from .ops import _finite_real
 from .tensor import Tensor
 
 __all__ = ["AdamWConfig", "AdamW", "decay_excluded", "global_grad_norm"]
@@ -29,12 +30,14 @@ class AdamWConfig:
     clip_norm: Optional[float] = 1.0
 
     def validate(self) -> None:
+        if not all(_finite_real(v) for v in (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay)):
+            raise ConfigError(f"AdamWConfig values must be finite real numbers, got {self}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError(f"betas must be in [0, 1), got ({self.beta1}, {self.beta2})")
-        if self.lr <= 0 or self.eps <= 0:
-            raise ConfigError(f"lr and eps must be positive, got {self.lr}, {self.eps}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be positive or None, got {self.clip_norm}")
+        if self.lr <= 0 or self.eps <= 0 or self.weight_decay < 0:
+            raise ConfigError(f"lr and eps must be positive and weight_decay non-negative, got {self}")
+        if self.clip_norm is not None and not (_finite_real(self.clip_norm) and self.clip_norm > 0):
+            raise ConfigError(f"clip_norm must be a finite positive number or None, got {self.clip_norm!r}")
 
 
 def decay_excluded(name: str) -> bool:

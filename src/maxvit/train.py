@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, NumericError
+from .errors import NumericError
 from .model import TOY_VARIANT, MaxVitModel, build_model, forward
 from .optim import AdamW, AdamWConfig
 from .tape import GradTape
@@ -49,7 +49,7 @@ def make_toy_dataset(seed: int = 0) -> ToyDataset:
     near-zero loss quickly.
     """
     count, size = TOY_IMAGES, TOY_SIZE
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ops._int_arg("make_toy_dataset", "seed", seed, 0))
     labels = np.arange(count) % 2  # balanced
     rng.shuffle(labels)
     ys, xs = np.mgrid[0:size, 0:size]
@@ -80,8 +80,8 @@ def train_toy(
     log_every: int = 0,
 ) -> TrainResult:
     """Full-batch training of the toy variant; deterministic for a given seed."""
-    if steps < 0:
-        raise ConfigError(f"steps must be non-negative, got {steps}")
+    ops._int_arg("train_toy", "steps", steps, 0)
+    ops._int_arg("train_toy", "log_every", log_every, 0)
     data = make_toy_dataset(seed)
     model = build_model(TOY_VARIANT, num_classes=2, seed=seed)
     opt = AdamW(model, TOY_OPT)
