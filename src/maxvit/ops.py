@@ -14,13 +14,14 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
 from scipy.special import erf
 
 from .errors import ConfigError, DataError, DimensionError, NumericError, PartitionError
-from .tape import record
+from .tape import _needed, record
 from .tensor import Tensor, debug_checks_enabled
 
 __all__ = [
@@ -54,8 +55,12 @@ def _check_rank(context: str, x: Tensor, rank: int, layout: str, at_least: bool 
 
 
 def _int_at_least(v, low: int = 1) -> bool:
-    """v is an integer >= low; a bool or a float of integral value is not."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low
+    """v is an integer >= low; a bool or a float of integral value is not.
+
+    A plain int skips the `numbers.Integral` check, which goes through
+    `ABCMeta.__instancecheck__` and costs about ten times as much.
+    """
+    return (type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)) and v >= low
 
 
 def _int_arg(context: str, name: str, value, low: int = 1, error=ConfigError) -> int:
@@ -128,8 +133,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(x: Tensor, s: float) -> Tensor:
     _same_dtype("scale", x)
-    if not isinstance(s, numbers.Real):
-        raise DataError(f"scale: factor must be a real number, got {s!r}")
+    if not _finite_real(s):
+        raise DataError(f"scale: factor must be a finite real number, got {s!r}")
     s = float(s)
     out = _out(x.data * x.dtype.type(s), "scale")
     record(out, (x,), lambda g: (g * s,))
@@ -237,9 +242,10 @@ _GELU_BLOCK = 1 << 15  # elements per block: a block's arrays, the tiled operand
 # f32 erf(z) ~ tanh(z * P(z^2)), P from the highest degree in z^2 down: a
 # least-squares fit in f64 of atanh(erf(z)) on z in [0, 4], weighted by
 # 1 - erf(z)^2 so that it is a fit in erf's own error, then Lawson
-# reweighting toward minimax; max |erf error| 5.8e-8. z is clipped to
-# [-5, 5]: z * P(z^2) rises monotonically to 46 there, where f32 tanh is
-# exactly +-1, so Phi(-inf) is 0 and gelu(-inf) = -inf * 0 is nan.
+# reweighting toward minimax; max |erf error| 5.8e-8. z^2 is clamped at 25:
+# z * P(z^2) rises monotonically to 46 at |z| = 5 and grows linearly past
+# it, and f32 tanh is exactly +-1 from 9.01 on, so Phi(-inf) is 0 and
+# gelu(-inf) = -inf * 0 is nan.
 _ERF_TANH_P = tuple(np.float32(c) for c in (
     1.589777360183682e-07, -5.986025089565569e-06, 8.971488636399110e-05, -6.257266923406146e-04,
     -1.843735421309113e-04, 1.027654754161421e-01, 1.128379706562100e+00,
@@ -286,24 +292,38 @@ def _cdf(y: np.ndarray, z: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.nda
     """Phi(y) = (1 + erf(y / sqrt(2))) / 2 of one block into `out`; z and t are scratch.
 
     f32 takes erf(z) = tanh(z * P(z^2)) (`_ERF_TANH_P`), f64 scipy's exact
-    erf. The GELU forward and backward both call this per block of one
-    `_row_blocks` partition, so the backward's Phi has the forward's bits.
+    erf. Only the GELU forward calls this; the backward reads Phi back from
+    the output (`_cdf_of_output`).
     """
     np.multiply(y, y.dtype.type(_INV_SQRT2), out=z)
     if y.dtype == np.float32:
-        np.clip(z, np.float32(-5.0), np.float32(5.0), out=z)
-        np.square(z, out=t)
-        np.multiply(t, _ERF_TANH_P[0], out=out)
-        for c in _ERF_TANH_P[1:-1]:
-            out += c
-            out *= t
-        out += _ERF_TANH_P[-1]
-        out *= z
-        np.tanh(out, out=out)
+        with np.errstate(over="ignore"):  # z^2 and z * P(25) reach inf past |z| ~ 1.8e19, where tanh is +-1 anyway
+            np.square(z, out=t)
+            np.minimum(t, np.float32(25.0), out=t)
+            np.multiply(t, _ERF_TANH_P[0], out=out)
+            for c in _ERF_TANH_P[1:-1]:
+                out += c
+                out *= t
+            out += _ERF_TANH_P[-1]
+            out *= z
+            np.tanh(out, out=out)
     else:
         erf(z, out=out)
     out += 1.0
     out *= 0.5
+    return out
+
+
+def _cdf_of_output(o: np.ndarray, y: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Phi(y) of one block read back from the GELU output o = y * Phi(y): o / y,
+    and exactly 1/2 where |y| < tiny, whose quotient would be 0/0 at y = 0 and
+    rounded from a subnormal product below it (0.571 at y = 1e-44 in f32)."""
+    with np.errstate(invalid="ignore"):  # 0 / 0; the 1/2 below replaces it
+        np.divide(o, y, out=out)
+    np.abs(y, out=t)
+    small = t < np.finfo(y.dtype).tiny
+    if small.any():
+        out[small] = 0.5
     return out
 
 
@@ -328,19 +348,20 @@ def _gelu_forward(x: np.ndarray, steps=(), out: np.ndarray | None = None) -> np.
     return res.reshape(x.shape)
 
 
-def _gelu_grad(x: np.ndarray, g: np.ndarray, steps=(), hat=(), from_hat: bool = False):
+def _gelu_grad(x: np.ndarray, o: np.ndarray, g: np.ndarray, steps=(), hat=(), from_hat: bool = False):
     """Pass one of a GELU backward, in blocks: gy = g * (Phi + y * pdf(y)), y = steps(x).
 
     y is rebuilt per block from x, or, with `from_hat`, from xhat = hat(x),
-    and Phi from y, on the forward's block partition. With per-channel steps
-    it also returns the channel sums of gy and, with `hat`, of gy * xhat (a
-    batch norm's dbeta and dgamma), else None for them. The ops after Phi run
-    in the order of the unblocked `g * (Phi + y * (exp(-0.5 * y**2) * (1/sqrt(2
-    pi))))`, so gy is the same bits as it.
+    on the forward's block partition, so it has the forward's bits; Phi is
+    read back from the forward's output o (`_cdf_of_output`). With
+    per-channel steps it also returns the channel sums of gy and, with
+    `hat`, of gy * xhat (a batch norm's dbeta and dgamma), else None for
+    them. The ops after Phi run in the order of the unblocked `g * (Phi + y *
+    (exp(-0.5 * y**2) * (1/sqrt(2 pi))))`, so gy is the same bits as it.
     """
     per_channel = bool(steps)
-    xr, step, (steps, hat), (h, y, z, t, c) = _row_blocks(x, per_channel, steps, hat, scratch=5)
-    gr = g.reshape(xr.shape)
+    xr, step, (steps, hat), (h, y, t, c) = _row_blocks(x, per_channel, steps, hat, scratch=4)
+    gr, orows = g.reshape(xr.shape), o.reshape(xr.shape)
     gy = np.empty_like(gr)
     sg = np.zeros(xr.shape[1], x.dtype) if per_channel else None
     sgx = np.zeros(xr.shape[1], x.dtype) if hat else None
@@ -349,8 +370,8 @@ def _gelu_grad(x: np.ndarray, g: np.ndarray, steps=(), hat=(), from_hat: bool = 
         n = len(xb)
         hb = _apply(_cut(hat, n), xb, h[:n])
         yb = _apply(_cut(steps, n), hb if from_hat else xb, y[:n])
-        cb = _cdf(yb, z[:n], t[:n], c[:n])
         tb, gyb = t[:n], gy[lo:lo + n]
+        cb = _cdf_of_output(orows[lo:lo + n], yb, tb, c[:n])
         np.square(yb, out=tb)
         tb *= -0.5
         np.exp(tb, out=tb)
@@ -361,7 +382,7 @@ def _gelu_grad(x: np.ndarray, g: np.ndarray, steps=(), hat=(), from_hat: bool = 
         if per_channel:
             sg += _channel_sum(gyb)
         if hat:
-            sgx += _channel_sum(gyb, hb)
+            sgx += _channel_sum(np.multiply(gyb, hb, out=tb))
     return gy.reshape(g.shape), sg, sgx
 
 
@@ -370,8 +391,10 @@ def gelu(x: Tensor, bias: Tensor | None = None) -> Tensor:
 
     f32 evaluates erf as tanh(z * P(z^2)) (`_cdf`); f64 uses scipy's exact
     erf. A (C,) `bias` over x's last axis is added per block inside the GELU
-    loop, with the bits of `add(x, bias)`. The backward keeps x alone, not
-    the sum and not Phi: it rebuilds both per block.
+    loop, with the bits of `add(x, bias)`. The backward keeps x and the
+    output, not the sum and not Phi: it rebuilds the sum per block and reads
+    Phi as output / sum. The output costs no memory, as the op that reads it
+    (fc2) keeps it too.
     """
     operands = (x,) if bias is None else (x, bias)
     _same_dtype("gelu", *operands)
@@ -381,8 +404,9 @@ def gelu(x: Tensor, bias: Tensor | None = None) -> Tensor:
             raise DimensionError(f"gelu: bias shape {bias.shape} does not match the last axis of {x.shape}")
         steps = ((np.add, bias.data),)
     out = _out(_gelu_forward(x.data, steps), "gelu")
+    o = out.data
     n = len(operands)  # gy, and the channel sum of gy as the bias gradient
-    record(out, operands, lambda g: _gelu_grad(x.data, g, steps)[:n])
+    record(out, operands, lambda g: _gelu_grad(x.data, o, g, steps)[:n])
     return out
 
 
@@ -417,14 +441,17 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     _same_dtype("softmax_lastdim", x)
     if x.ndim < 1 or x.shape[-1] == 0:
         raise DimensionError(f"softmax_lastdim: expects a non-empty last axis, got shape {x.shape}")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    ones = np.ones(x.shape[-1], x.dtype)  # row sums as BLAS matrix-vector products (`_row_dot`)
+    y = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    y /= _row_dot(y, ones)
     out = _out(y, "softmax_lastdim")
 
     def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        gy = g * y
+        dot = _row_dot(gy, ones)
+        np.subtract(g, dot, out=gy)
+        gy *= y
+        return (gy,)
 
     record(out, (x,), backward)
     return out
@@ -432,24 +459,56 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 
 # -- normalization ---------------------------------------------------------------
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """a as (rows, last axis); a view when a is contiguous."""
+    return a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+
+
+def _row_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v over a's last axis, kept as a length-1 axis: one BLAS matrix-vector
+    product. numpy's own reduction over a short last axis runs an inner loop
+    only that long, several times slower at this model's widths."""
+    return (_rows(a) @ v).reshape(a.shape[:-1] + (1,))
+
+
+def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Sum of `a`, or of `a * b`, over every axis but the last.
+
+    The sum of `a` is ones @ rows, one BLAS matrix-vector product. The sum of
+    `a * b` is an einsum, which streams both once with no full-size
+    temporary. numpy's own reduction over the leading axes of a C-contiguous
+    array runs an inner loop only C elements long, several times slower for
+    small C; einsum's one-operand sum is about 3.5 times slower than BLAS
+    (on (32, 56, 56, 64) f32: 3.9 against 1.1 ms).
+    """
+    if b is None:
+        rows = _rows(a)
+        return np.ones(len(rows), a.dtype) @ rows
+    axes = "abcdefghijklmnopqrstuvwxy"[:a.ndim - 1] + "z"  # einsum cannot sum an ellipsis away ("...c->c" raises)
+    return np.einsum(f"{axes},{axes}->z", a, b)
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then per-feature affine.
 
-    The forward centres one copy of x, takes the variance from it (the same
-    bits as `x.var`) and scales and shifts it in place into the output. The
-    backward keeps x and the per-row mean and 1/std, rebuilds xhat from them
-    with the forward's ops and forms dx in place on `g * gamma`, with one
-    more input-sized buffer for the products that its reductions read; its
-    gradients are the same bits as the unfused formula over a stored xhat.
+    Every reduction is a BLAS matrix-vector product (`_row_dot` with a 1/C
+    vector for the row means, `_channel_sum` for dgamma and dbeta). The forward
+    centres one copy of x, takes the variance from it and scales and shifts
+    it in place into the output. The backward keeps x and the per-row mean
+    and 1/std, rebuilds xhat from them with the forward's ops and forms dx in
+    place on `g * gamma`, with one more input-sized buffer for the products
+    that its reductions read; its gradients are the same bits as the unfused
+    formula over a stored xhat with the same reductions.
     """
     _same_dtype("layer_norm", x, gamma, beta)
     _check_rank("layer_norm", x, 1, "(..., features)", at_least=True)
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError(f"layer_norm: affines {gamma.shape}/{beta.shape} do not match feature dim {c}")
-    mean = x.data.mean(axis=-1, keepdims=True)
+    w = np.full(c, 1.0 / max(c, 1), x.dtype)
+    mean = _row_dot(x.data, w)
     y = x.data - mean  # the one owned copy: centred here, scaled and shifted in place below
-    var = np.square(y).mean(axis=-1, keepdims=True)
+    var = _row_dot(np.square(y), w)
     inv = 1.0 / np.sqrt(var + _NORM_EPS)
     y *= inv
     y *= gamma.data
@@ -462,31 +521,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         xhat *= inv
         dx = g * gamma.data
         prod = dx * xhat
-        m2 = prod.mean(axis=-1, keepdims=True)
-        m1 = dx.mean(axis=-1, keepdims=True)
-        red = tuple(range(g.ndim - 1))
-        dgamma = np.multiply(g, xhat, out=prod).sum(axis=red)
+        m2 = _row_dot(prod, w)
+        m1 = _row_dot(dx, w)
+        dgamma = _channel_sum(np.multiply(g, xhat, out=prod))
         xhat *= m2
         dx -= m1
         dx -= xhat
         dx *= inv
-        return dx, dgamma, g.sum(axis=red)
+        return dx, dgamma, _channel_sum(g)
 
     record(out, (x, gamma, beta), backward)
     return out
-
-
-def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Sum of `a`, or of `a * b`, over every axis but the last.
-
-    einsum streams the whole tensor once with no full-size temporary; numpy's
-    own reduction over the leading axes of a C-contiguous array runs an inner
-    loop only C elements long, which is several times slower for small C.
-    """
-    axes = "abcdefghijklmnopqrstuvwxy"[:a.ndim - 1] + "z"  # einsum cannot sum an ellipsis away ("...c->c" raises)
-    if b is None:
-        return np.einsum(f"{axes}->z", a)
-    return np.einsum(f"{axes},{axes}->z", a, b)
 
 
 def _check_channel_params(context: str, x: Tensor, **params) -> None:
@@ -528,15 +573,18 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, gelu: bool = False)
     With `gelu`, out is gelu(batch norm) from one blocked pass
     (`_gelu_forward`) that scales, shifts and activates the centred copy in
     cache and writes over it, so the batch-norm output never exists at full
-    size; out has the bits of the two separate ops. Its backward keeps x and
-    the statistics, not Phi. Pass one rebuilds xhat, y and Phi per block,
-    forms gy = g * gelu'(y) and sums gy and gy * xhat per channel; pass two
+    size; out has the bits of the two separate ops. Its backward keeps x, the
+    statistics and out, which the next op keeps too, not Phi. Pass one
+    rebuilds xhat and y per block, reads Phi as out / y, forms gy = g *
+    gelu'(y) and sums gy and gy * xhat per channel; pass two
     forms dx = gy * k + x * a + b per block, with per-channel k, a and b
     folded from those sums.
     """
     _check_channel_params("batch_norm_train", x, gamma=gamma, beta=beta)
     n = x.shape[0] * x.shape[1] * x.shape[2]
-    mean = _channel_sum(x.data) / n
+    # an einsum, not `_channel_sum`'s BLAS sum: the mean's rounding reaches every gradient,
+    # and a BLAS mean moved the toy step's gradients by 1e-6 norm-relative
+    mean = np.einsum("abcz->z", x.data) / n
     y = x.data - mean  # the one owned copy: centred here, normalized (and activated) in place below
     var = _channel_sum(y, y) / n  # two-pass, as np.var
     inv = 1.0 / np.sqrt(var + _NORM_EPS)
@@ -561,7 +609,7 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, gelu: bool = False)
 
     def backward_gelu(g):
         # the same dx with g -> gy, regrouped as gy * k + x * a + b
-        dx, sg, sgx = _gelu_grad(x.data, g, affine, hat, from_hat=True)
+        dx, sg, sgx = _gelu_grad(x.data, y, g, affine, hat, from_hat=True)
         k = gamma.data * inv
         a = k * inv * (-sgx / n)
         return _bn_input_grad(dx, x.data, k, a, -k * (sg / n) - a * mean), sgx, sg
@@ -578,8 +626,8 @@ def batch_norm_inference(
     Folded into one per-channel scale s = gamma / sqrt(var + eps) and shift
     beta - mean * s, so the forward makes two passes over x. With `gelu`,
     out is gelu of that, formed per block in the GELU loop (`_gelu_forward`)
-    with the same bits as the two ops; its backward keeps x alone, rebuilds
-    xhat, y and Phi per block and returns dx = gy * s.
+    with the same bits as the two ops; its backward keeps x and out, rebuilds
+    xhat and y per block, reads Phi as out / y and returns dx = gy * s.
     """
     _check_channel_params(
         "batch_norm_inference", x, gamma=gamma, beta=beta, running_mean=running_mean, running_var=running_var
@@ -598,7 +646,7 @@ def batch_norm_inference(
         return g * s, _channel_sum(g, xhat), _channel_sum(g)
 
     def backward_gelu(g):
-        dx, sg, sgx = _gelu_grad(x.data, g, affine, ((np.subtract, running_mean), (np.multiply, inv)))
+        dx, sg, sgx = _gelu_grad(x.data, y, g, affine, ((np.subtract, running_mean), (np.multiply, inv)))
         dx *= s
         return dx, sgx, sg
 
@@ -665,7 +713,8 @@ def _tap_conv(x: np.ndarray, kh: int, kw: int, stride: int, taps, fold_phases: b
     every tap's phase is 0. Output rows are computed at the plane's width,
     then cropped. The plane is a padded copy of x, so the forward drops it
     after the walk and the backward, which keeps x, builds it again.
-    Returns (y, backward), backward(g) -> (gx, [gw per tap]).
+    Returns (y, backward), backward(g, data) -> (gx, [gw per tap]); gx is
+    None, and its mirrored walk skipped, unless `data`.
     """
     bsz, h, wid, c = x.shape
     cout = taps[0][3].shape[-1]
@@ -698,12 +747,20 @@ def _tap_conv(x: np.ndarray, kh: int, kw: int, stride: int, taps, fold_phases: b
     _shifted_taps(build_plane(), flat_taps, y[:rows - reach])  # the rows past it are all cropped
     y = y.reshape(bsz, hq, wq, cout)[:, :hout, :wout]
 
-    def backward(g):
+    def backward(g, data: bool):
         plane = build_plane()
         # g at the plane's width, behind `reach` zero rows: the data gradient is
         # then the same walk over g, with each tap's offset mirrored.
         gpad = np.zeros((1, reach + rows, cout), g.dtype)
         gpad[0, reach:].reshape(bsz, hq, wq, cout)[:, :hout, :wout] = g
+        gflat = gpad[0, reach:]
+        gws = [
+            plane[p, off:off + rows - reach].T @ gflat[:rows - reach] if w.ndim == 2
+            else _channel_sum(plane[p, off:off + rows - reach], gflat[:rows - reach])
+            for off, p, w in flat_taps
+        ]
+        if not data:
+            return None, gws
         gplane = np.empty_like(plane)  # the walk overwrites every row of each phase a tap reads
         for p in range(len(plane)):
             mirrored = [(reach - off, 0, w.T) for off, q, w in flat_taps if q == p]
@@ -711,12 +768,6 @@ def _tap_conv(x: np.ndarray, kh: int, kw: int, stride: int, taps, fold_phases: b
                 _shifted_taps(gpad, mirrored, gplane[p])
             else:  # a phase no tap reads (k < s) has a zero gradient
                 gplane[p] = 0
-        gflat = gpad[0, reach:]
-        gws = [
-            plane[p, off:off + rows - reach].T @ gflat[:rows - reach] if w.ndim == 2
-            else _channel_sum(plane[p, off:off + rows - reach], gflat[:rows - reach])
-            for off, p, w in flat_taps
-        ]
         gx = np.empty_like(x)
         gp = phase_view(gplane.reshape(shape))
         for xi, qi in phases:
@@ -733,6 +784,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     matmuls over the flat padded input (`_tap_conv`); stride s first moves each
     s x s pixel block into channels (space-to-depth), which turns the kernel
     into a zero-padded ceil(k/s) x ceil(k/s) kernel over s*s*cin channels.
+    The backward computes no data gradient for an x that has no reader
+    (`tape._needed`), such as the images under the stem.
     """
     inputs = (x, w) if b is None else (x, w, b)
     _same_dtype("conv2d", *inputs)
@@ -755,9 +808,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
 
         def backward1x1(g):
             gf = g.reshape(bsz * h * wid, cout)
-            gx = (gf @ w.data.reshape(cin, cout).T).reshape(x.shape)
+            gx = (gf @ w.data.reshape(cin, cout).T).reshape(x.shape) if _needed(0) else None
             gw = (flat.T @ gf).reshape(w.shape)
-            return (gx, gw) if b is None else (gx, gw, gf.sum(axis=0))
+            return (gx, gw) if b is None else (gx, gw, _channel_sum(gf))
 
         record(out, inputs, backward1x1)
         return out
@@ -774,7 +827,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     out = _out(y, "conv2d")
 
     def backward(g):
-        gx, gws = tap_backward(g)
+        gx, gws = tap_backward(g, _needed(0))
         gw = np.stack(gws).reshape(kqh, kqw, s, s, cin, cout).transpose(0, 2, 1, 3, 4, 5)
         gw = np.ascontiguousarray(gw.reshape(wpad.shape)[:kh, :kw])
         return (gx, gw) if b is None else (gx, gw, _channel_sum(g))
@@ -803,7 +856,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     out = _out(np.ascontiguousarray(y), "depthwise_conv2d")
 
     def backward(g):
-        gx, gws = tap_backward(g)
+        gx, gws = tap_backward(g, _needed(0))
         return gx, np.stack(gws).reshape(w.shape)
 
     record(out, (x, w), backward)
@@ -817,7 +870,12 @@ def avg_pool2d(x: Tensor, k: int) -> Tensor:
     k = _int_arg("avg_pool2d", "pool size", k, error=PartitionError)
     if h % k or w % k:
         raise PartitionError(f"avg_pool2d: pool size {k} does not divide extent ({h}, {w})")
-    y = x.data.reshape(bsz, h // k, k, w // k, k, c).mean(axis=(2, 4))
+    # the k*k strided slices summed into one fresh array: no 6-D reduction with a k-long inner loop
+    first, *rest = (x.data[:, i::k, j::k] for i in range(k) for j in range(k))
+    y = first.copy()
+    for part in rest:
+        y += part
+    y /= k * k
     out = _out(y, "avg_pool2d")
 
     def backward(g):

@@ -8,7 +8,8 @@ as long as the caller or a backward rule that reads it holds it. A backward
 rule keeps only what it reads: its inputs' data and per-channel statistics,
 or just a shape when that is all it needs. An intermediate that one pass
 over those can rebuild (a norm's xhat, a conv's padded input) is rebuilt in
-the backward rather than kept.
+the backward rather than kept. An output that the next op keeps anyway costs
+nothing to read: a GELU's backward takes Phi as its output over its input.
 `gradient` replays the tape in reverse, accumulating cotangents by tensor
 key (`Tensor.key`, never reused, unlike the id of a freed tensor).
 Parameters that do not influence the loss get exact-zero gradients.
@@ -17,7 +18,10 @@ The sweep frees as it goes: it takes the entry list off the tape, drops each
 entry (and with it the activations its backward captured) once it has run,
 and drops each intermediate cotangent once its entry has read it, so the
 forward's and the backward's arrays are never all alive at once. A tape is
-therefore single-use: a second `gradient` call raises `ConfigError`.
+therefore single-use: a second `gradient` call raises `ConfigError`. While a
+backward rule runs, `_needed(i)` says whether its input i has a reader, so a
+rule can skip a cotangent that would be dropped (a convolution's image
+gradient).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .tensor import Tensor
 __all__ = ["GradTape", "active_tape", "record"]
 
 _ACTIVE: list["GradTape"] = []
+_SWEEP: list[tuple[bool, ...]] = []  # per running backward rule: which inputs of its entry have a reader
 
 
 class _Entry:
@@ -97,7 +102,12 @@ class GradTape:
             pending.discard(key)
             g_out = grads.get(key) if key in keep else grads.pop(key, None)
             if g_out is not None:
-                _accumulate(grads, entry.inputs, entry.backward(g_out), keep, pending)
+                _SWEEP.append(tuple(k in keep or k in pending for k, _, _ in entry.inputs))
+                try:
+                    g_inputs = entry.backward(g_out)
+                finally:
+                    _SWEEP.pop()
+                _accumulate(grads, entry.inputs, g_inputs, keep, pending)
             del entry, g_out
         out: list[Tensor] = []
         for p in params:
@@ -106,11 +116,18 @@ class GradTape:
         return out
 
 
+def _needed(i: int) -> bool:
+    """Whether input i of the entry whose backward rule is running has a reader:
+    it is a requested parameter or the output of an entry still to be swept.
+    True outside a sweep. A rule may return None for an input that has none."""
+    return _SWEEP[-1][i] if _SWEEP else True
+
+
 def _accumulate(grads, inputs, g_inputs, keep, pending) -> None:
     """Add one entry's input cotangents into `grads`.
 
-    Only inputs that are requested parameters or outputs of entries still to
-    be swept are stored; any other cotangent (a data leaf's) has no reader.
+    Only inputs that `_needed` names are stored; any other cotangent (a data
+    leaf's) has no reader.
     """
     for (key, shape, dtype), g in zip(inputs, g_inputs):
         if g is None:

@@ -9,13 +9,14 @@ gradients, optimizer, and model wiring actually train, not benchmark chasing.
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import ops
-from .errors import NumericError
+from .errors import DataError, NumericError
 from .model import TOY_VARIANT, MaxVitModel, build_model, forward
 from .optim import AdamW, AdamWConfig
 from .tape import GradTape
@@ -79,30 +80,39 @@ def train_toy(
     trace_path: Optional[str] = None,
     log_every: int = 0,
 ) -> TrainResult:
-    """Full-batch training of the toy variant; deterministic for a given seed."""
+    """Full-batch training of the toy variant; deterministic for a given seed.
+
+    `trace_path` is opened before the first step, so a path that cannot be
+    written raises `DataError` before any training; the per-step losses are
+    written to it as CSV after the last step.
+    """
     ops._int_arg("train_toy", "steps", steps, 0)
     ops._int_arg("train_toy", "log_every", log_every, 0)
     data = make_toy_dataset(seed)
-    model = build_model(TOY_VARIANT, num_classes=2, seed=seed)
-    opt = AdamW(model, TOY_OPT)
-    losses: list[float] = []
-    for step in range(steps):
-        params = opt.parameters()
-        with GradTape() as tape:
-            logits = forward(model, data.images, training=True)
-            loss = ops.softmax_cross_entropy(logits, data.labels)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise NumericError(f"training diverged: non-finite loss at step {step}")
-        losses.append(value)
-        grads = tape.gradient(loss, params)
-        opt.step(grads)
-        if log_every and step % log_every == 0:
-            print(f"step {step:4d}  loss {value:.6f}")
-    logits = forward(model, data.images, training=False)
-    accuracy = float((logits.data.argmax(axis=1) == data.labels).mean())
-    if trace_path:
-        with open(trace_path, "w", newline="") as f:
+    try:
+        trace = open(trace_path, "w", newline="") if trace_path else nullcontext()
+    except OSError as e:
+        raise DataError(f"train_toy: cannot write trace_path {trace_path!r}: {e}") from e
+    with trace as f:
+        model = build_model(TOY_VARIANT, num_classes=2, seed=seed)
+        opt = AdamW(model, TOY_OPT)
+        losses: list[float] = []
+        for step in range(steps):
+            params = opt.parameters()
+            with GradTape() as tape:
+                logits = forward(model, data.images, training=True)
+                loss = ops.softmax_cross_entropy(logits, data.labels)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise NumericError(f"training diverged: non-finite loss at step {step}")
+            losses.append(value)
+            grads = tape.gradient(loss, params)
+            opt.step(grads)
+            if log_every and step % log_every == 0:
+                print(f"step {step:4d}  loss {value:.6f}")
+        logits = forward(model, data.images, training=False)
+        accuracy = float((logits.data.argmax(axis=1) == data.labels).mean())
+        if f is not None:
             writer = csv.writer(f)
             writer.writerow(["step", "loss"])
             writer.writerows((i, f"{v:.8f}") for i, v in enumerate(losses))

@@ -9,7 +9,7 @@ from maxvit import ops
 from maxvit.checks import MINIATURE
 from maxvit.errors import ConfigError, DimensionError, NumericError
 from maxvit.gradcheck import GRAD_TOL, grad_check, primitive_cases
-from maxvit.model import build_model, forward
+from maxvit.model import TOY_VARIANT, build_model, forward
 from maxvit.tape import GradTape, record
 from maxvit.tensor import Tensor, tensor
 
@@ -265,12 +265,17 @@ _RETENTION_CASES = {
 }
 
 
+_KEEPS_OUTPUT = {"batch_norm_train+gelu", "batch_norm_inference+gelu", "gelu+bias"}
+
+
 @pytest.mark.parametrize("name", list(_RETENTION_CASES))
 def test_backward_keeps_no_input_sized_array_but_the_input(name):
-    """A backward rule keeps its input and small statistics; xhat, Phi and padded planes are rebuilt.
+    """A backward rule keeps its input and small statistics; xhat, the biased sum and padded planes are rebuilt.
 
-    A GELU fused behind a norm or a bias keeps neither the norm's output, the
-    biased sum nor Phi.
+    A GELU, fused behind a norm or a bias, also keeps its output, to read Phi
+    from it, and no other rule keeps its output. That the GELU output costs
+    no memory in the model is checked over the toy forward's whole tape
+    (`test_toy_forward_tape_keeps_each_gelu_output_once`).
     """
     rng = np.random.default_rng(21)
     x = Tensor(rng.standard_normal((2, 8, 8, 4)))
@@ -278,11 +283,38 @@ def test_backward_keeps_no_input_sized_array_but_the_input(name):
         out = _RETENTION_CASES[name](x, rng)
     (entry,) = tape._entries
     held = _captured_arrays(entry.backward)
-    own = _buffer(x.data)
-    extra = [a for a in held if a.nbytes >= x.data.nbytes and _buffer(a) is not own]
+    own, out_buf = _buffer(x.data), _buffer(out.data)
+    extra = [a for a in held if a.nbytes >= x.data.nbytes and _buffer(a) is not own and _buffer(a) is not out_buf]
     assert not extra, f"{name} backward keeps input-sized arrays {[a.shape for a in extra]}"
-    assert all(_buffer(a) is not _buffer(out.data) for a in held), f"{name} backward keeps its output"
+    keeps_output = any(_buffer(a) is out_buf for a in held)
+    assert keeps_output == (name in _KEEPS_OUTPUT), f"{name} backward keeps its output: {keeps_output}"
     assert any(_buffer(a) is own for a in held), "the walk never reached the input"
+
+
+def test_toy_forward_tape_keeps_each_gelu_output_once(monkeypatch):
+    """The GELU backwards keep their outputs (as softmax and sigmoid do), yet the
+    distinct buffers that the toy forward's tape keeps alive are the same set
+    without every backward's reference to its own output: each such output is
+    also kept by the op that reads it (a conv, the SE mul, fc2, attn @ v)."""
+    outputs = []
+    recorded = ops.record
+
+    def record_output(out, inputs, backward):
+        outputs.append(out.data)
+        recorded(out, inputs, backward)
+
+    model = build_model(TOY_VARIANT, num_classes=2, seed=0)
+    images = Tensor(np.random.default_rng(22).standard_normal((2, 112, 112, 3)).astype(np.float32))
+    monkeypatch.setattr(ops, "record", record_output)
+    with GradTape() as tape:
+        forward(model, images, training=True)
+    assert len(outputs) == len(tape._entries)
+    held = [{id(_buffer(a)) for a in _captured_arrays(e.backward)} for e in tape._entries]
+    own_out = [id(_buffer(o)) for o in outputs]
+    keepers = {i for i, (h, o) in enumerate(zip(held, own_out)) if o in h}
+    gelus = {i for i, e in enumerate(tape._entries) if "gelu" in e.backward.__qualname__}
+    assert len(gelus) == 13 and gelus <= keepers  # the stem's, 2 per MBConv and 1 per MLP, 3 blocks
+    assert set().union(*held) == set().union(*(h - {o} for h, o in zip(held, own_out)))
 
 
 def test_grad_check_rejects_nonfinite_function():

@@ -13,6 +13,7 @@ import pytest
 from scipy.special import erf
 
 from maxvit import axes, nn, ops
+from maxvit import tape as tape_module
 from maxvit.attention import build_bias_index, interpolate_bias, rel_attention
 from maxvit.checks import GELU_F32_BOUND, _check_gelu_f32_matches_exact
 from maxvit.counting import count_model
@@ -226,7 +227,7 @@ _GELU_IDS = ["0d", "empty", "empty-3d", "block-1", "block", "block+1", "2x3x(blo
 def test_gelu_f32_dtype_shape_and_values(shape, dtype):
     """Both dtypes at the block edges: values within the f32 bound of the exact form
     (f64 is the exact form), the same bits without a tape, and a gradient bitwise
-    equal to the unblocked formula over the f32 Phi of `ops._cdf` (f64: exact erf)."""
+    equal to the unblocked formula over Phi = output / x (1/2 where |x| < tiny)."""
     rng = np.random.default_rng(12)
     x = Tensor(np.asarray(rng.standard_normal(shape) * 4, dtype))
     w = Tensor(np.asarray(rng.standard_normal(shape), dtype))
@@ -240,12 +241,31 @@ def test_gelu_f32_dtype_shape_and_values(shape, dtype):
     x64 = x.data.astype(np.float64)
     exact = ops.gelu(Tensor(x64)).data
     assert (np.abs(y.data - exact) <= GELU_F32_BOUND * np.maximum(1.0, np.abs(x64))).all()
-    if dtype == np.float32:
-        cdf = ops._cdf(x.data, *(np.empty_like(x.data) for _ in "ztc"))
-    else:
-        cdf = 0.5 * (1.0 + erf(x.data * (1.0 / math.sqrt(2.0))))
+    cdf = _cdf_of_output(y.data, x.data)
     want = w.data * (cdf + x.data * (np.exp(-0.5 * x.data**2) * (1.0 / math.sqrt(2.0 * math.pi))))
     assert np.array_equal(g.data, want)
+
+
+def _cdf_of_output(out, y):
+    """Phi(y) read back from a GELU output out = y * Phi(y), unblocked."""
+    with np.errstate(invalid="ignore"):
+        return np.where(np.abs(y) < np.finfo(y.dtype).tiny, y.dtype.type(0.5), out / y)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_gelu_backward_takes_phi_one_half_at_zero_and_subnormal_y(dtype):
+    """Where |y| < tiny, out / y would be 0/0 or a rounded subnormal quotient (0.571
+    at y = 1e-44 in f32); the backward takes Phi = 1/2 there, so dx = g / 2 exactly."""
+    tiny = np.finfo(dtype).tiny
+    sub = np.float32(1e-44) if dtype == np.float32 else 5e-324
+    x = Tensor(np.array([0.0, -0.0, sub, -sub, tiny / 3, -tiny / 2, tiny], dtype))
+    w = Tensor(np.linspace(1.0, 2.0, 7).astype(dtype))
+    for bias in (None, Tensor(np.zeros(7, dtype))):
+        params = [x] if bias is None else [x, bias]
+        with GradTape() as tape:
+            loss = ops.reduce_sum(ops.mul(ops.gelu(*params), w))
+        gx = tape.gradient(loss, params)[0].data
+        assert gx.dtype == dtype and np.array_equal(gx, w.data * dtype(0.5))
 
 
 def test_gelu_f32_matches_exact_property():
@@ -290,22 +310,30 @@ def test_layer_norm_rejects_mixed_dtype_affines(which):
 
 
 def _layer_norm_stored_xhat(x, gamma, beta, g, eps=1e-5):
-    """Layer norm with a stored xhat: (out, dx, dgamma, dbeta) for cotangent g."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    """Layer norm with a stored xhat: (out, dx, dgamma, dbeta) for cotangent g.
+
+    Its reductions are the op's: row means as rows @ (1/C), column sums as
+    ones @ rows."""
+    c = x.shape[-1]
+    rows, g = x.reshape(-1, c), g.reshape(-1, c)
+    w, ones = np.full(c, 1.0 / c, x.dtype), np.ones(len(rows), x.dtype)
+    mean = (rows @ w)[:, None]
+    var = (np.square(rows - mean) @ w)[:, None]
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv
+    xhat = (rows - mean) * inv
     gx = g * gamma
-    m1 = gx.mean(axis=-1, keepdims=True)
-    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    m1 = (gx @ w)[:, None]
+    m2 = ((gx * xhat) @ w)[:, None]
     dx = (gx - m1 - xhat * m2) * inv
-    red = tuple(range(g.ndim - 1))
-    return xhat * gamma + beta, dx, (g * xhat).sum(axis=red), g.sum(axis=red)
+    return (xhat * gamma + beta).reshape(x.shape), dx.reshape(x.shape), ones @ (g * xhat), ones @ g
 
 
 def _batch_norm_stored_xhat(x, gamma, beta, g, eps=1e-5):
-    """Batch norm with a stored xhat: (out, dx, dgamma, dbeta) for cotangent g."""
+    """Batch norm with a stored xhat: (out, dx, dgamma, dbeta) for cotangent g.
+
+    Its sums are the op's: einsums, but ones @ rows for dbeta."""
     n = x.shape[0] * x.shape[1] * x.shape[2]
+    ones = np.ones(n, x.dtype)
     mean = np.einsum("abcz->z", x) / n
     xhat = x - mean
     var = np.einsum("abcz,abcz->z", xhat, xhat) / n
@@ -313,7 +341,7 @@ def _batch_norm_stored_xhat(x, gamma, beta, g, eps=1e-5):
     xhat *= inv
     y = xhat * gamma
     y += beta
-    sg, sgx = np.einsum("abcz->z", g), np.einsum("abcz,abcz->z", g, xhat)
+    sg, sgx = ones @ g.reshape(n, -1), np.einsum("abcz,abcz->z", g, xhat)
     dx = xhat * (-sgx / n)
     dx += g
     dx -= sg / n
@@ -476,31 +504,38 @@ def test_fused_gelu_matches_the_separate_ops(form, dtype, shape):
 @pytest.mark.parametrize("c", [16, 64, 128])
 @pytest.mark.parametrize("form", ["plain", *_FUSED_FORMS])
 def test_gelu_backward_rebuilds_the_forwards_phi_bits(form, c, monkeypatch):
-    """The backward's Phi is the forward's, block for block and bit for bit, for every
-    f32 GELU entry. 3 * 29 * 31 rows leave the last block part full at every C, and
-    the plain form's odd length leaves a tail shorter than a SIMD vector of tanh."""
+    """The backward rebuilds the forward's y, block for block and bit for bit, for
+    every f32 GELU entry, and takes Phi as the forward's output over that y.
+    3 * 29 * 31 rows leave the last block part full at every C, and the plain
+    form's odd length leaves a tail shorter than a SIMD vector."""
     rng = np.random.default_rng(33)
     x = Tensor((rng.standard_normal((3, 29, 31, c)) * 3.0).astype(np.float32))
     gamma, beta = (Tensor((rng.standard_normal(c) + k).astype(np.float32)) for k in (1.0, 0.0))
     run = (lambda x, g, b: ops.gelu(x)) if form == "plain" else _FUSED_FORMS[form][1]
     if form == "plain":
         x = Tensor(x.data.ravel()[1:])
-    cdf, blocks = ops._cdf, []
+    cdf, cdf_of_output, forward, backward = ops._cdf, ops._cdf_of_output, [], []
 
-    def kept_cdf(*args):
-        out = cdf(*args)
-        blocks.append(out.copy())
-        return out
+    def kept_cdf(y, *scratch):
+        forward.append(y.copy())
+        return cdf(y, *scratch)
+
+    def kept_cdf_of_output(o, y, *scratch):
+        phi = cdf_of_output(o, y, *scratch)
+        backward.append((o, y.copy(), phi.copy()))
+        return phi
 
     monkeypatch.setattr(ops, "_cdf", kept_cdf)
+    monkeypatch.setattr(ops, "_cdf_of_output", kept_cdf_of_output)
     with GradTape() as tape:
-        loss = ops.reduce_sum(run(x, gamma, beta))
-    forward = blocks[:]
-    blocks.clear()
+        out = run(x, gamma, beta)
+        loss = ops.reduce_sum(out)
     tape.gradient(loss, [x])
-    assert len(forward) == len(blocks) > 1
-    for a, b in zip(forward, blocks):
-        assert a.shape == b.shape and np.array_equal(a, b)
+    assert len(forward) == len(backward) > 1
+    for y, (o, yb, phi) in zip(forward, backward):
+        assert y.shape == yb.shape and np.array_equal(y, yb)
+        assert np.shares_memory(o, out.data)
+        assert np.array_equal(phi, _cdf_of_output(o, y))
 
 
 def test_batch_norm_inference_is_batch_independent():
@@ -620,6 +655,58 @@ def test_conv2d_odd_extent_stride2_pads_bottom_right():
     np.testing.assert_allclose(got.data, conv2d_oracle(x, w, None, 2), rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("k,stride", [(3, 1), (3, 2), (1, 1)], ids=["3x3-s1", "3x3-s2", "1x1"])
+def test_conv2d_skips_the_data_gradient_of_an_input_with_no_reader(k, stride, monkeypatch):
+    """A data leaf's gradient has no reader, so conv2d's backward returns None for it
+    and runs no data-gradient walk (a matmul for 1x1); the weight and bias gradients
+    are the same bits as when x is requested too, also on nested tapes. An x made
+    on the outer tape only has no reader on the inner one, and the outer sweep
+    still computes it."""
+    rng = np.random.default_rng(14)
+    leaf = Tensor(rng.standard_normal((2, 6, 6, 3)).astype(np.float32))
+    w, b = Tensor(rng.standard_normal((k, k, 3, 4)).astype(np.float32)), Tensor(rng.standard_normal(4).astype(np.float32))
+    cot = Tensor(rng.standard_normal((2, 6 // stride, 6 // stride, 4)).astype(np.float32))
+    walks, data_grads, shifted_taps, accumulate = [], [], ops._shifted_taps, tape_module._accumulate
+    monkeypatch.setattr(ops, "_shifted_taps", lambda *a: walks.append(1) or shifted_taps(*a))
+
+    def spy(grads, inputs, g_inputs, *rest):
+        if len(inputs) == 3 and inputs[1][1] == w.shape:  # the conv2d entry: (x, w, b)
+            data_grads.append(g_inputs[0] is not None)
+        accumulate(grads, inputs, g_inputs, *rest)
+
+    monkeypatch.setattr(tape_module, "_accumulate", spy)
+
+    def sweep(tape, loss, params):
+        walks.clear()
+        data_grads.clear()
+        grads = [t.data for t in tape.gradient(loss, params)]
+        (computed,) = data_grads
+        assert computed == (len(params) == 3), "a data gradient with no reader was computed, or one was skipped"
+        return grads, len(walks)
+
+    def conv_loss(x):
+        return ops.reduce_sum(ops.mul(ops.conv2d(x, w, b, stride=stride), cot))
+
+    with GradTape() as tape:
+        loss = conv_loss(leaf)
+    full, full_walks = sweep(tape, loss, [w, b, leaf])
+    with GradTape() as tape:
+        loss = conv_loss(leaf)
+    pruned, pruned_walks = sweep(tape, loss, [w, b])
+    assert pruned_walks == 0 and (full_walks > 0) == (k > 1)
+    assert all(np.array_equal(p, f) for p, f in zip(pruned, full[:2]))
+    with GradTape() as outer:
+        x = ops.scale(leaf, 1.0)  # recorded on the outer tape only
+        with GradTape() as inner:
+            loss = conv_loss(x)
+        inner_grads, inner_walks = sweep(inner, loss, [w, b])
+    outer_grads, outer_walks = sweep(outer, loss, [w, b, leaf])
+    assert inner_walks == 0 and outer_walks == full_walks
+    for got in (inner_grads, outer_grads[:2]):
+        assert all(np.array_equal(p, f) for p, f in zip(got, full[:2]))
+    assert np.array_equal(outer_grads[2], full[2])
+
+
 @pytest.mark.parametrize("k,stride,extent", _CONV_CASES)
 def test_depthwise_matches_grouped_oracle(k, stride, extent, monkeypatch):
     monkeypatch.setattr(ops, "_TAP_BLOCK", 40)  # several row blocks, the last one short
@@ -644,6 +731,10 @@ def test_avg_pool2d():
     y = ops.avg_pool2d(x, 2)
     assert y.shape == (1, 2, 2, 1)
     np.testing.assert_allclose(y.data[0, :, :, 0], [[2.5, 4.5], [10.5, 12.5]])
+    z = np.random.default_rng(8).standard_normal((2, 6, 6, 3))
+    for k in (1, 3, 6):
+        want = z.reshape(2, 6 // k, k, 6 // k, k, 3).mean(axis=(2, 4))
+        np.testing.assert_allclose(ops.avg_pool2d(_t64(z), k).data, want, rtol=1e-14, atol=1e-15)
     with pytest.raises(PartitionError):
         ops.avg_pool2d(_t64(np.zeros((1, 5, 4, 1))), 2)
 

@@ -7,7 +7,8 @@ property assertions here read its trace rather than retraining.
 import numpy as np
 import pytest
 
-from maxvit.errors import ConfigError
+from maxvit import train as train_module
+from maxvit.errors import ConfigError, DataError
 from maxvit.train import (
     TOY_IMAGES,
     TOY_LOSS_TARGET,
@@ -85,6 +86,16 @@ def test_trace_csv_roundtrip(tmp_path):
     step, loss = lines[1].split(",")
     assert int(step) == 0
     assert float(loss) == pytest.approx(r.losses[0], abs=1e-7)
+
+
+def test_unwritable_trace_path_fails_before_any_step(tmp_path, monkeypatch):
+    """The trace file is opened before step 0: a missing directory raises DataError
+    from the error taxonomy and no forward pass runs."""
+    forwards = []
+    monkeypatch.setattr(train_module, "forward", lambda *a, **k: forwards.append(1))
+    with pytest.raises(DataError, match="trace_path"):
+        train_toy(seed=0, steps=1, trace_path=str(tmp_path / "missing" / "trace.csv"))
+    assert forwards == []
 
 
 # -- full-run properties (shared 300-step fixture) -------------------------------------

@@ -148,6 +148,12 @@ def test_emd_order_accepts_finite_reals_from_one():
             ops.emd_loss(p, q, r=r)
 
 
+@pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, np.float32("nan"), True, "2"])
+def test_scale_rejects_a_non_finite_or_non_real_factor(factor):
+    with pytest.raises(DataError):
+        ops.scale(Tensor(np.ones(2, np.float32)), factor)
+
+
 # -- debug mode -----------------------------------------------------------------------------
 
 def test_debug_checks_name_the_op_that_made_a_non_finite_value():
