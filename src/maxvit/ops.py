@@ -356,15 +356,17 @@ def _gelu_grad(x: np.ndarray, o: np.ndarray, g: np.ndarray, steps=(), hat=(), fr
     read back from the forward's output o (`_cdf_of_output`). With
     per-channel steps it also returns the channel sums of gy and, with
     `hat`, of gy * xhat (a batch norm's dbeta and dgamma), else None for
-    them. The ops after Phi run in the order of the unblocked `g * (Phi + y *
+    them; each block adds into a block-sized sum, reduced once at the end,
+    which costs one in-cache add per block and no per-block reduction call.
+    The ops after Phi run in the order of the unblocked `g * (Phi + y *
     (exp(-0.5 * y**2) * (1/sqrt(2 pi))))`, so gy is the same bits as it.
     """
     per_channel = bool(steps)
-    xr, step, (steps, hat), (h, y, t, c) = _row_blocks(x, per_channel, steps, hat, scratch=4)
+    xr, step, (steps, hat), (h, y, t, c, sg, sgx) = _row_blocks(x, per_channel, steps, hat, scratch=6)
     gr, orows = g.reshape(xr.shape), o.reshape(xr.shape)
     gy = np.empty_like(gr)
-    sg = np.zeros(xr.shape[1], x.dtype) if per_channel else None
-    sgx = np.zeros(xr.shape[1], x.dtype) if hat else None
+    sg[...] = 0
+    sgx[...] = 0
     for lo in range(0, len(xr), step):
         xb = xr[lo:lo + step]
         n = len(xb)
@@ -380,10 +382,10 @@ def _gelu_grad(x: np.ndarray, o: np.ndarray, g: np.ndarray, steps=(), hat=(), fr
         tb += cb
         np.multiply(gr[lo:lo + n], tb, out=gyb)
         if per_channel:
-            sg += _channel_sum(gyb)
+            sg[:n] += gyb
         if hat:
-            sgx += _channel_sum(np.multiply(gyb, hb, out=tb))
-    return gy.reshape(g.shape), sg, sgx
+            sgx[:n] += np.multiply(gyb, hb, out=tb)
+    return gy.reshape(g.shape), _channel_sum(sg) if per_channel else None, _channel_sum(sgx) if hat else None
 
 
 def gelu(x: Tensor, bias: Tensor | None = None) -> Tensor:

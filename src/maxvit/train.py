@@ -83,14 +83,15 @@ def train_toy(
     """Full-batch training of the toy variant; deterministic for a given seed.
 
     `trace_path` is opened before the first step, so a path that cannot be
-    written raises `DataError` before any training; the per-step losses are
-    written to it as CSV after the last step.
+    written raises `DataError` before any training; the per-step losses
+    replace its contents as CSV after the last step, so a run that fails
+    leaves an existing file as it was.
     """
     ops._int_arg("train_toy", "steps", steps, 0)
     ops._int_arg("train_toy", "log_every", log_every, 0)
     data = make_toy_dataset(seed)
     try:
-        trace = open(trace_path, "w", newline="") if trace_path else nullcontext()
+        trace = open(trace_path, "a", newline="") if trace_path else nullcontext()
     except OSError as e:
         raise DataError(f"train_toy: cannot write trace_path {trace_path!r}: {e}") from e
     with trace as f:
@@ -113,6 +114,7 @@ def train_toy(
         logits = forward(model, data.images, training=False)
         accuracy = float((logits.data.argmax(axis=1) == data.labels).mean())
         if f is not None:
+            f.truncate(0)  # append mode: the rows then go to the start
             writer = csv.writer(f)
             writer.writerow(["step", "loss"])
             writer.writerows((i, f"{v:.8f}") for i, v in enumerate(losses))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from maxvit import train as train_module
-from maxvit.errors import ConfigError, DataError
+from maxvit.errors import ConfigError, DataError, NumericError
 from maxvit.train import (
     TOY_IMAGES,
     TOY_LOSS_TARGET,
@@ -96,6 +96,22 @@ def test_unwritable_trace_path_fails_before_any_step(tmp_path, monkeypatch):
     with pytest.raises(DataError, match="trace_path"):
         train_toy(seed=0, steps=1, trace_path=str(tmp_path / "missing" / "trace.csv"))
     assert forwards == []
+
+
+def test_trace_replaces_a_file_after_the_run_and_a_failed_run_keeps_it(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    path.write_text("old\n" * 5)
+    train_toy(seed=0, steps=1, trace_path=str(path))
+    assert path.read_text().splitlines()[0] == "step,loss" and len(path.read_text().splitlines()) == 2
+    path.write_text("old\n")
+
+    def diverge(*args, **kwargs):
+        raise NumericError("diverged")
+
+    monkeypatch.setattr(train_module, "forward", diverge)
+    with pytest.raises(NumericError):
+        train_toy(seed=0, steps=1, trace_path=str(path))
+    assert path.read_text() == "old\n"
 
 
 # -- full-run properties (shared 300-step fixture) -------------------------------------
