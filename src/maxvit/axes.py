@@ -19,8 +19,6 @@ cutting into H/G-sized windows and exchanging the "which window" axis with the
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from . import ops
@@ -28,8 +26,7 @@ from .errors import DimensionError, PartitionError
 from .tensor import Tensor
 
 __all__ = [
-    "block", "unblock", "grid", "ungrid", "to_heads", "from_heads",
-    "partition_indices", "dump_indices",
+    "block", "unblock", "grid", "ungrid", "to_heads", "from_heads", "partition_indices",
 ]
 
 # (B, R1, R2, C1, C2, heads, d) -> (B, group row, group col, heads, token row, token col, d)
@@ -128,8 +125,3 @@ def partition_indices(kind: str, height: int, width: int, size: int) -> np.ndarr
     img = Tensor(np.arange(height * width, dtype=np.float64).reshape(1, height, width, 1))
     out = block(img, size) if kind == "block" else grid(img, size)
     return out.data.reshape(out.shape[1], out.shape[2]).astype(np.int64)
-
-
-def dump_indices(kind: str, height: int, width: int, size: int) -> str:
-    """JSON array-of-arrays form of partition_indices, for golden comparisons."""
-    return json.dumps(partition_indices(kind, height, width, size).tolist())

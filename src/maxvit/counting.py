@@ -57,9 +57,6 @@ class ModelCount:
             out[key] = (p + lc.params, m + lc.macs)
         return out
 
-    def layers_matching(self, needle: str) -> list[LayerCount]:
-        return [lc for lc in self.layers if needle in lc.name]
-
 
 def _attention_layer_counts(prefix: str, channels: int, size: int, head_dim: int, tokens: int):
     """Per-layer records for one attention layer at a given token count."""

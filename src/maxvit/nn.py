@@ -11,6 +11,7 @@ biases, ones/zeros for norm affines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -149,7 +150,7 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
         raise DimensionError(f"linear: input {x.shape} does not match a (cin, cout) weight {p.weight.shape}")
     cin, cout = p.weight.shape
     lead = x.shape[:-1]
-    flat = ops.reshape(x, (int(np.prod(lead, dtype=np.int64)), cin))
+    flat = ops.reshape(x, (math.prod(lead), cin))
     y = ops.matmul(flat, p.weight)
     if p.bias is not None:
         y = ops.add(y, p.bias)

@@ -169,11 +169,11 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     _same_dtype("reshape", x)
     if not isinstance(shape, (tuple, list)) or not all(_int_at_least(d, 0) for d in shape):
         raise DimensionError(f"reshape: shape {shape!r} is not a sequence of non-negative integers")
-    shape = tuple(int(d) for d in shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
-        raise DimensionError(f"reshape: cannot view {x.shape} as {shape}")
-    # The flat buffer is preserved bitwise; only the shape header changes.
-    out = Tensor(x.data.reshape(shape))
+    shape = tuple(map(int, shape))
+    try:  # the flat buffer is preserved bitwise; only the shape header changes
+        out = Tensor(x.data.reshape(shape))
+    except ValueError as e:  # another size, or a zero size whose other extents overflow numpy's index range
+        raise DimensionError(f"reshape: cannot view {x.shape} as {shape}") from e
     x_shape = x.shape
     record(out, (x,), lambda g: (g.reshape(x_shape),))
     return out
@@ -185,7 +185,9 @@ def transpose(x: Tensor, perm: tuple[int, ...]) -> Tensor:
     axes_ok = isinstance(perm, (tuple, list)) and all(_int_at_least(a, 0) for a in perm)
     if not axes_ok or sorted(perm) != list(range(x.ndim)):
         raise DimensionError(f"transpose: {perm} is not a permutation of the axes of rank-{x.ndim} input")
-    inverse = tuple(int(a) for a in np.argsort(perm))
+    inverse = [0] * len(perm)
+    for i, a in enumerate(perm):
+        inverse[a] = i
     out = Tensor(x.data.transpose(perm).copy())
     record(out, (x,), lambda g: (g.transpose(inverse).copy(),))
     return out
@@ -222,7 +224,7 @@ def reduce_sum(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 def reduce_mean(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     _same_dtype("reduce_mean", x)
     ax = _norm_axes(axes, x.ndim)
-    count = int(np.prod([x.shape[a] for a in ax], dtype=np.int64))
+    count = math.prod(x.shape[a] for a in ax)
     out = _out(np.asarray(x.data.mean(axis=ax, keepdims=keepdims)), "reduce_mean")
     x_shape = x.shape
 
@@ -292,8 +294,9 @@ def _cdf(y: np.ndarray, z: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.nda
     """Phi(y) = (1 + erf(y / sqrt(2))) / 2 of one block into `out`; z and t are scratch.
 
     f32 takes erf(z) = tanh(z * P(z^2)) (`_ERF_TANH_P`), f64 scipy's exact
-    erf. Only the GELU forward calls this; the backward reads Phi back from
-    the output (`_cdf_of_output`).
+    erf. The GELU forward calls this, and so does the f32-vs-exact check
+    (`checks.gelu_f32_matches_exact`); the backward reads Phi back from the
+    output (`_cdf_of_output`).
     """
     np.multiply(y, y.dtype.type(_INV_SQRT2), out=z)
     if y.dtype == np.float32:
@@ -704,50 +707,46 @@ def _shifted_taps(src: np.ndarray, taps, out: np.ndarray) -> None:
                 acc += t
 
 
-def _tap_conv(x: np.ndarray, kh: int, kw: int, stride: int, taps, fold_phases: bool):
-    """'same' conv of NHWC `x` as shifted taps over its flat padded plane.
+def _tap_conv(x: np.ndarray, w: np.ndarray, stride: int):
+    """'same' conv of NHWC `x` with a (kh, kw, ...) kernel `w`, as shifted taps
+    over its flat padded plane.
 
-    The input is padded once into s*s phase planes of hout + ceil(k/s) - 1
-    rows and wq = wout + ceil(k/s) - 1 columns; padded pixel (p, q) lands at
-    row p // s, column q // s of phase (p % s, q % s). Viewed flat, a tap
-    (a, b, phase, w) reads rows at offset a*wq + b of its phase. With
-    `fold_phases` the phases are folded into channels (space-to-depth) and
-    every tap's phase is 0. Output rows are computed at the plane's width,
-    then cropped. The plane is a padded copy of x, so the forward drops it
-    after the walk and the backward, which keeps x, builds it again.
-    Returns (y, backward), backward(g, data) -> (gx, [gw per tap]); gx is
-    None, and its mirrored walk skipped, unless `data`.
+    The input is padded once into s*s phase planes of hout + ceil(kh/s) - 1
+    rows and wq = wout + ceil(kw/s) - 1 columns; padded pixel (p, q) lands at
+    row p // s, column q // s of phase (p % s) * s + q % s. Viewed flat, tap
+    (i, j) reads phase (i % s) * s + j % s at offset (i // s) * wq + j // s,
+    with weight w[i, j]: a (cin, cout) matrix for `conv2d`, a (c,) vector for
+    `depthwise_conv2d` (`_shifted_taps`). Output rows are computed at the
+    plane's width, then cropped. The plane is a padded copy of x, so the
+    forward drops it after the walk and the backward, which keeps x, builds
+    it again. Returns (y, backward), backward(g, data) -> (gx, gw) with gw in
+    w's shape; gx is None, and its mirrored walk skipped, unless `data`.
     """
     bsz, h, wid, c = x.shape
-    cout = taps[0][3].shape[-1]
+    kh, kw, *_, cout = w.shape
     s = stride
     (pt, _), (pl, _) = _same_pad(h, kh, s), _same_pad(wid, kw, s)
     hout, wout = -(-h // s), -(-wid // s)
     hq, wq = hout - 1 + -(-kh // s), wout - 1 + -(-kw // s)
     rows = bsz * hq * wq
+    shape = (s, s, bsz, hq, wq, c)
     phases = [
         ((slice(None), xr, xc), (r, t, slice(None), qr, qc))
         for r, (xr, qr) in enumerate(_phase_slices(h, pt, s))
         for t, (xc, qc) in enumerate(_phase_slices(wid, pl, s))
     ]
 
-    def phase_view(a: np.ndarray):
-        """(s, s, B, hq, wq, C) view of a plane laid out for the walker."""
-        return a.transpose(3, 4, 0, 1, 2, 5) if fold_phases else a
-
-    shape = (bsz, hq, wq, s, s, c) if fold_phases else (s, s, bsz, hq, wq, c)
-
     def build_plane() -> np.ndarray:
         plane = np.zeros(shape, x.dtype)
         for xi, qi in phases:
-            phase_view(plane)[qi] = x[xi]
-        return plane.reshape((1, rows, s * s * c) if fold_phases else (s * s, rows, c))
+            plane[qi] = x[xi]
+        return plane.reshape(s * s, rows, c)
 
-    flat_taps = [(a * wq + b, p, w) for a, b, p, w in taps]
-    reach = max(off for off, _, _ in flat_taps)
+    taps = [((i // s) * wq + j // s, (i % s) * s + j % s, w[i, j]) for i in range(kh) for j in range(kw)]
+    reach = max(off for off, _, _ in taps)
     y = np.empty((rows, cout), x.dtype)
-    _shifted_taps(build_plane(), flat_taps, y[:rows - reach])  # the rows past it are all cropped
-    y = y.reshape(bsz, hq, wq, cout)[:, :hout, :wout]
+    _shifted_taps(build_plane(), taps, y[:rows - reach])  # the rows past it are all cropped
+    y = np.ascontiguousarray(y.reshape(bsz, hq, wq, cout)[:, :hout, :wout])
 
     def backward(g, data: bool):
         plane = build_plane()
@@ -755,26 +754,26 @@ def _tap_conv(x: np.ndarray, kh: int, kw: int, stride: int, taps, fold_phases: b
         # then the same walk over g, with each tap's offset mirrored.
         gpad = np.zeros((1, reach + rows, cout), g.dtype)
         gpad[0, reach:].reshape(bsz, hq, wq, cout)[:, :hout, :wout] = g
-        gflat = gpad[0, reach:]
-        gws = [
-            plane[p, off:off + rows - reach].T @ gflat[:rows - reach] if w.ndim == 2
-            else _channel_sum(plane[p, off:off + rows - reach], gflat[:rows - reach])
-            for off, p, w in flat_taps
-        ]
+        gflat = gpad[0, reach:rows]
+        gw = np.stack([
+            plane[p, off:off + rows - reach].T @ gflat if tw.ndim == 2
+            else _channel_sum(plane[p, off:off + rows - reach], gflat)
+            for off, p, tw in taps
+        ]).reshape(w.shape)
         if not data:
-            return None, gws
+            return None, gw
         gplane = np.empty_like(plane)  # the walk overwrites every row of each phase a tap reads
         for p in range(len(plane)):
-            mirrored = [(reach - off, 0, w.T) for off, q, w in flat_taps if q == p]
+            mirrored = [(reach - off, 0, tw.T) for off, q, tw in taps if q == p]
             if mirrored:
                 _shifted_taps(gpad, mirrored, gplane[p])
             else:  # a phase no tap reads (k < s) has a zero gradient
                 gplane[p] = 0
         gx = np.empty_like(x)
-        gp = phase_view(gplane.reshape(shape))
+        gp = gplane.reshape(shape)
         for xi, qi in phases:
             gx[xi] = gp[qi]
-        return gx, gws
+        return gx, gw
 
     return y, backward
 
@@ -783,11 +782,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     """NHWC 'same' convolution. w: (kh, kw, cin, cout); odd pad goes bottom/right.
 
     A 1x1 stride-1 kernel is one matmul. Any other kernel is a sum of shifted
-    matmuls over the flat padded input (`_tap_conv`); stride s first moves each
-    s x s pixel block into channels (space-to-depth), which turns the kernel
-    into a zero-padded ceil(k/s) x ceil(k/s) kernel over s*s*cin channels.
-    The backward computes no data gradient for an x that has no reader
-    (`tape._needed`), such as the images under the stem.
+    matmuls over the flat padded input (`_tap_conv`), one per tap; stride s
+    reads tap (i, j) from phase plane (i % s, j % s). The backward computes
+    no data gradient for an x that has no reader (`tape._needed`), such as
+    the images under the stem.
     """
     inputs = (x, w) if b is None else (x, w, b)
     _same_dtype("conv2d", *inputs)
@@ -803,35 +801,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
 
     if kh == 1 and kw == 1 and stride == 1:
         flat = x.data.reshape(bsz * h * wid, cin)
-        y = flat @ w.data.reshape(cin, cout)
-        if b is not None:
-            y += b.data  # in place on the fresh product
-        out = _out(y.reshape(bsz, h, wid, cout), "conv2d")
+        y = (flat @ w.data.reshape(cin, cout)).reshape(bsz, h, wid, cout)
 
-        def backward1x1(g):
+        def conv_backward(g, data: bool):
             gf = g.reshape(bsz * h * wid, cout)
-            gx = (gf @ w.data.reshape(cin, cout).T).reshape(x.shape) if _needed(0) else None
-            gw = (flat.T @ gf).reshape(w.shape)
-            return (gx, gw) if b is None else (gx, gw, _channel_sum(gf))
-
-        record(out, inputs, backward1x1)
-        return out
-
-    s = stride
-    kqh, kqw = -(-kh // s), -(-kw // s)
-    wpad = np.zeros((kqh * s, kqw * s, cin, cout), w.dtype)
-    wpad[:kh, :kw] = w.data
-    # (kqh, s, kqw, s, cin, cout) -> (kqh, kqw, s*s*cin, cout), matching the plane's (s, s, cin) channel order
-    wfold = wpad.reshape(kqh, s, kqw, s, cin, cout).transpose(0, 2, 1, 3, 4, 5).reshape(kqh, kqw, s * s * cin, cout)
-    taps = [(i, j, 0, wfold[i, j]) for i in range(kqh) for j in range(kqw)]
-    y, tap_backward = _tap_conv(x.data, kh, kw, s, taps, fold_phases=True)
-    y = y + b.data if b is not None else np.ascontiguousarray(y)
+            gx = (gf @ w.data.reshape(cin, cout).T).reshape(x.shape) if data else None
+            return gx, (flat.T @ gf).reshape(w.shape)
+    else:
+        y, conv_backward = _tap_conv(x.data, w.data, stride)
+    if b is not None:
+        y += b.data  # in place on the fresh output
     out = _out(y, "conv2d")
 
     def backward(g):
-        gx, gws = tap_backward(g, _needed(0))
-        gw = np.stack(gws).reshape(kqh, kqw, s, s, cin, cout).transpose(0, 2, 1, 3, 4, 5)
-        gw = np.ascontiguousarray(gw.reshape(wpad.shape)[:kh, :kw])
+        gx, gw = conv_backward(g, _needed(0))
         return (gx, gw) if b is None else (gx, gw, _channel_sum(g))
 
     record(out, inputs, backward)
@@ -847,21 +830,14 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     _same_dtype("depthwise_conv2d", x, w)
     _check_rank("depthwise_conv2d", x, 4, "NHWC rank-4")
     _check_rank("depthwise_conv2d", w, 3, "(kh, kw, c) kernel")
-    bsz, h, wid, c = x.shape
+    c = x.shape[-1]
     kh, kw, wc = w.shape
     if wc != c:
         raise DimensionError(f"depthwise_conv2d: kernel has {wc} channels, tensor has {c}")
     _check_kernel("depthwise_conv2d", kh, kw, stride)
-    s = stride
-    taps = [(i // s, j // s, (i % s) * s + j % s, w.data[i, j]) for i in range(kh) for j in range(kw)]
-    y, tap_backward = _tap_conv(x.data, kh, kw, s, taps, fold_phases=False)
-    out = _out(np.ascontiguousarray(y), "depthwise_conv2d")
-
-    def backward(g):
-        gx, gws = tap_backward(g, _needed(0))
-        return gx, np.stack(gws).reshape(w.shape)
-
-    record(out, (x, w), backward)
+    y, tap_backward = _tap_conv(x.data, w.data, stride)
+    out = _out(y, "depthwise_conv2d")
+    record(out, (x, w), lambda g: tap_backward(g, _needed(0)))
     return out
 
 

@@ -8,6 +8,7 @@ the on-disk format (one ASCII header line, then raw little-endian data).
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from typing import Iterable, Union
 
@@ -159,13 +160,16 @@ def parse_tensor_bytes(raw: bytes) -> Tensor:
         raise DataError(f"bad tensor header {fields!r}") from e
     if rank != len(dims) or rank < 0 or any(d < 0 for d in dims):
         raise DataError(f"bad tensor header {fields!r}")
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
+    count = math.prod(dims)
     body = raw[nl + 1 :]
     expect = count * dt.itemsize
     if len(body) != expect:
         raise DataError(f"tensor payload is {len(body)} bytes, header implies {expect}")
     arr = np.frombuffer(body, dtype=dt.newbyteorder("<"), count=count).astype(dt)
-    return Tensor(arr.reshape(dims))
+    try:
+        return Tensor(arr.reshape(dims))
+    except ValueError as e:  # a zero count whose other extents overflow numpy's index range
+        raise DataError(f"bad tensor header {fields!r}") from e
 
 
 def save_tensor(t: Tensor, path) -> None:

@@ -4,15 +4,13 @@ The oracles enumerate window/group membership by arithmetic on (row, col)
 coordinates, independent of the reshape/transpose implementation under test.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxvit import ops
-from maxvit.axes import block, dump_indices, grid, partition_indices, unblock, ungrid
+from maxvit.axes import block, grid, partition_indices, unblock, ungrid
 from maxvit.checks import (
     INDEX_TABLES_4X4,
     check_grid_is_transposed_block,
@@ -131,12 +129,6 @@ def test_indivisible_extent_raises_before_compute():
         grid(x, 7)
     with pytest.raises(PartitionError):
         unblock(_image(1, 4, 4, 2), 15, 14, 7)
-
-
-def test_dump_indices_json():
-    assert json.loads(dump_indices("block", 4, 4, 2)) == INDEX_TABLES_4X4["block"]
-    with pytest.raises(PartitionError):
-        dump_indices("diagonal", 4, 4, 2)
 
 
 def test_partitions_are_differentiable():

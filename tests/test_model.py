@@ -278,11 +278,13 @@ def _truncate_payload(ckpt):
         lambda ckpt: _edit_manifest(ckpt, lambda m: m["variant"].update(head_dim=None)),
         lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(num_classes="2")),
         lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(dtype="f16")),
+        lambda ckpt: (ckpt / "head.bias.tensor").write_bytes(b"f32 2 4294967296 4294967296\n"),
     ],
     ids=[
         "truncated-payload", "no-manifest", "truncated-buffer-list", "parameter-listed-as-buffer",
         "buffer-wrong-shape", "missing-tensor-file", "manifest-missing-seed", "manifest-not-object",
         "stage-entry-short", "window-string", "head-dim-null", "num-classes-string", "dtype-f16",
+        "tensor-extents-overflow-int64",
     ],
 )
 def test_checkpoint_rejects_corruption(tmp_path, corrupt):

@@ -769,6 +769,8 @@ def test_non_positive_stride_or_pool_size_rejected(call, error):
     "call,error",
     [
         (lambda: ops.reshape(_t64(np.ones((2, 3))), (-2, -3)), DimensionError),
+        (lambda: ops.reshape(_t64(np.zeros(0)), (2**32, 2**32)), DimensionError),  # an int64 product wraps to 0
+        (lambda: ops.reshape(_t64(np.zeros(0)), (0, 2**70)), DimensionError),
         (lambda: ops.softmax_cross_entropy(_t64(np.zeros((0, 3))), np.zeros(0, np.int64)), DimensionError),
         (lambda: ops.layer_norm(_t64(1.0), _t64(np.ones(1)), _t64(np.zeros(1))), DimensionError),
         (lambda: ops.emd_loss(_t64(1.0), _t64(1.0)), DimensionError),
@@ -849,9 +851,11 @@ def test_non_positive_stride_or_pool_size_rejected(call, error):
         (lambda: nn.se_module(np.zeros((1, 4, 4, 2)).tolist(), nn.init_se(np.random.default_rng(0), 2, 1)), DataError),
         (lambda: axes.to_heads(np.zeros((1, 4, 4, 4)).tolist(), "block", 2), DataError),
         (lambda: axes.from_heads(np.zeros((1, 4, 1, 4, 4)).tolist(), "block", 4, 4, 2), DataError),
+        (lambda: axes.partition_indices("diagonal", 4, 4, 2), PartitionError),
     ],
     ids=[
-        "reshape-negative-extents", "cross-entropy-empty-batch", "layer-norm-0d", "emd-0d", "emd-r-nan",
+        "reshape-negative-extents", "reshape-extents-overflow-int64", "reshape-zero-size-extent-overflow",
+        "cross-entropy-empty-batch", "layer-norm-0d", "emd-0d", "emd-r-nan",
         "emd-empty-batch", "emd-zero-bins", "reduce-sum-float-axis", "reduce-mean-str-axes", "scale-str",
         "conv-stride-1.5", "depthwise-stride-1.5", "gelu-bias-misshaped", "gelu-bias-0d-input", "gelu-bias-ndarray",
         "gelu-bias-mixed-dtype", "count-zero-classes", "count-str-classes", "count-str-resolution",
@@ -868,6 +872,7 @@ def test_non_positive_stride_or_pool_size_rejected(call, error):
         "transpose-int-perm", "conv-list-input", "conv-list-bias", "depthwise-list-input", "emd-list-operand",
         "emd-r-bool", "layer-norm-list-gamma", "rel-attention-list-query", "interpolate-bias-ndarray-table",
         "linear-list-input", "global-pool-list-input", "se-list-input", "to-heads-list-input", "from-heads-list-input",
+        "partition-indices-unknown-kind",
     ],
 )
 def test_misuse_raises_from_the_error_taxonomy(call, error):

@@ -132,3 +132,7 @@ def test_serialization_rejects_corrupt_input():
         parse_tensor_bytes(b"f32 2 2\n" + b"\x00" * 16)  # rank/extent mismatch
     with pytest.raises(DataError):
         parse_tensor_bytes(b"no header here")
+    with pytest.raises(DataError):
+        parse_tensor_bytes(b"f32 2 4294967296 4294967296\n")  # an int64 product wraps to 0
+    with pytest.raises(DataError):
+        parse_tensor_bytes(b"f32 2 0 1180591620717411303424\n")  # zero elements, an extent past 2**63

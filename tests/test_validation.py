@@ -64,7 +64,6 @@ _INT_ARGS = [
     ("default_window.resolution", lambda v: default_window(v), ConfigError, 32),
     ("partition_indices.height", lambda v: axes.partition_indices("block", v, 4, 2), DimensionError, 1),
     ("partition_indices.width", lambda v: axes.partition_indices("grid", 4, v, 2), DimensionError, 1),
-    ("dump_indices.height", lambda v: axes.dump_indices("block", v, 4, 2), DimensionError, 1),
     ("init_bias_table.heads", lambda v: init_bias_table(v, 2), ConfigError, 1),
     ("init_bias_table.window", lambda v: init_bias_table(2, v), ConfigError, 1),
     ("train_toy.steps", lambda v: train_toy(steps=v), ConfigError, 0),
@@ -114,6 +113,18 @@ def test_only_ops_owns_the_integer_rule():
             found = [n for n in found if not any(n is e for e in exempt)]
         offenders += [f"{path.name}:{n.lineno}" for n in found]
     assert not offenders, f"hand-written integer checks; use ops._int_arg: {offenders}"
+
+
+def test_no_module_calls_np_prod():
+    """Shape products are exact Python ints (`math.prod`): `np.prod` wraps in int64,
+    so (2**32, 2**32) has product 0 and would pass a size check against an empty array."""
+    offenders = []
+    for path in sorted(Path(maxvit.__file__).parent.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            f = getattr(n, "func", None)
+            if isinstance(f, ast.Attribute) and f.attr == "prod" and getattr(f.value, "id", None) in ("np", "numpy"):
+                offenders.append(f"{path.name}:{n.lineno}")
+    assert not offenders, f"np.prod of a shape can wrap; use math.prod: {offenders}"
 
 
 # -- finite reals -------------------------------------------------------------------------
