@@ -295,8 +295,8 @@ def _cdf(y: np.ndarray, z: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.nda
 
     f32 takes erf(z) = tanh(z * P(z^2)) (`_ERF_TANH_P`), f64 scipy's exact
     erf. The GELU forward calls this, and so does the f32-vs-exact check
-    (`checks.gelu_f32_matches_exact`); the backward reads Phi back from the
-    output (`_cdf_of_output`).
+    (`checks._check_gelu_f32_matches_exact`); the backward reads Phi back
+    from the output (`_cdf_of_output`).
     """
     np.multiply(y, y.dtype.type(_INV_SQRT2), out=z)
     if y.dtype == np.float32:
